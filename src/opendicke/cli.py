@@ -2,9 +2,10 @@
 
 Every command takes the model dials as flags (frequencies default to 1, so
 couplings and rates are read in units of omega_a), writes its dataset
-atomically (temp file + rename), and prints a one-line summary. Numeric
-output is fixed at 12 significant digits, so identical invocations produce
-byte-identical files regardless of the worker count.
+atomically (temp file + rename), and prints a one-line summary. CSV numbers
+are fixed at 12 significant digits and JSON floats use the shortest
+round-trip repr, so identical invocations produce byte-identical files
+regardless of the worker count.
 
 Exit codes: 0 success, 2 invalid usage, 3 numerical non-convergence,
 4 output I/O failure.
@@ -15,11 +16,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from .eigen import (
     open_eigenfrequencies,
     sweep_eigenfrequencies,
 )
+from .fanout import fan_out
 from .scattering import sweep_spectrum
 from .squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
@@ -72,6 +74,8 @@ def _parse_grid(text: str, name: str, default_points: int) -> tuple[str, np.ndar
         lo_f, hi_f = float(lo), float(hi)
     except ValueError as exc:
         raise UsageError(f"bad bounds in --{name} {text!r}") from exc
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise UsageError(f"--{name} bounds must be finite, got {text!r}")
     if points < 2:
         raise UsageError(f"--{name} needs at least 2 points, got {points}")
     if not hi_f > lo_f:
@@ -96,6 +100,8 @@ def _parse_probe(text: str) -> np.ndarray:
         points = int(parts[2]) if len(parts) == 3 else 2000
     except ValueError as exc:
         raise UsageError(f"bad --probe {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--probe bounds must be finite, got {text!r}")
     if not lo > 0:
         raise UsageError(f"probe lower bound must be positive, got {lo}")
     if points < 2 or not hi > lo:
@@ -120,10 +126,11 @@ def _workers(args: argparse.Namespace) -> int:
     if args.parallel is not None:
         n = args.parallel
     else:
+        text = os.environ.get(PARALLEL_ENV, "1")
         try:
-            n = int(os.environ.get(PARALLEL_ENV, "1"))
-        except ValueError:
-            n = 1
+            n = int(text)
+        except ValueError as exc:
+            raise UsageError(f"${PARALLEL_ENV} must be an integer, got {text!r}") from exc
     if n < 1:
         raise UsageError(f"--parallel must be >= 1, got {n}")
     return n
@@ -164,11 +171,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
     sweep = _parse_sweep(args.sweep, ("g", "omega_b"))
     workers = _workers(args)
     tasks = [(params, sweep.axis, float(v)) for v in sweep.values]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            eigensets = list(pool.map(_eigen_point, tasks, chunksize=16))
-    else:
-        eigensets = [_eigen_point(t) for t in tasks]
+    eigensets = list(fan_out(_eigen_point, tasks, workers, chunksize=16))
     table = sweep_eigenfrequencies(params, sweep.axis, sweep.values, eigensets=eigensets)
     if args.format == "json":
         text = _eigen_json(table)
@@ -212,20 +215,23 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     sweep = _parse_sweep(args.sweep, ("g", "ratio"))
     probe = _parse_probe(args.probe)
+    workers = _workers(args)
     grid = sweep_spectrum(
         params,
         sweep.axis,
         sweep.values,
         probe,
         linear_gamma_b=args.linear_gamma_b,
-        workers=_workers(args),
+        workers=workers,
     )
     if args.format == "json":
-        _atomic_write(args.output, grid.to_json() + "\n")
+        _atomic_write(args.output, grid.to_json(workers=workers) + "\n")
     else:
         _atomic_write(
             args.output,
-            writer=lambda handle: grid.to_csv(handle, include_phase=args.include_phase_labels),
+            writer=lambda handle: grid.to_csv(
+                handle, include_phase=args.include_phase_labels, workers=workers
+            ),
         )
     _summary(args.output, sweep.values.size, probe.size, t0)
     return 0
@@ -343,6 +349,15 @@ def _cmd_altcoupling(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    # Flag type for the command-specific numbers; the model dials stay plain
+    # floats because ModelParams and BathSpec reject non-finite values.
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega-a", type=float, default=1.0, help="bare frequency of subsystem a")
     parser.add_argument("--omega-b", type=float, default=1.0, help="bare frequency of subsystem b")
@@ -360,7 +375,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, default: str | None) -> N
         "--parallel",
         type=int,
         default=None,
-        help=f"worker count for grid evaluation (default ${PARALLEL_ENV} or 1)",
+        help=f"worker count for grid evaluation and formatting (default ${PARALLEL_ENV} or 1)",
     )
 
 
@@ -396,30 +411,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condensates", help="phase data and macroscopic occupations")
     _add_param_flags(p)
-    p.add_argument("--omega", type=float, default=None, help="also report bath densities at omega")
+    p.add_argument("--omega", type=_finite, default=None, help="also report bath densities at omega")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_condensates)
 
     p = sub.add_parser("critical", help="locate the critical coupling")
     _add_param_flags(p)
-    p.add_argument("--g-lo", type=float, default=0.0, help="lower bisection bracket")
-    p.add_argument("--g-hi", type=float, default=None, help="upper bisection bracket")
+    p.add_argument("--g-lo", type=_finite, default=0.0, help="lower bisection bracket")
+    p.add_argument("--g-hi", type=_finite, default=None, help="upper bisection bracket")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("squeeze", help="output-quadrature vacuum variance over a phi grid")
     _add_param_flags(p)
-    p.add_argument("--omega", type=float, required=True, help="probe frequency")
-    p.add_argument("--theta", type=float, default=0.0, help="two-port mixing angle")
-    p.add_argument("--psi", type=float, default=0.0, help="two-port relative phase")
+    p.add_argument("--omega", type=_finite, required=True, help="probe frequency")
+    p.add_argument("--theta", type=_finite, default=0.0, help="two-port mixing angle")
+    p.add_argument("--psi", type=_finite, default=0.0, help="two-port relative phase")
     p.add_argument("--phi-points", type=int, default=64, help="phi grid size")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_squeeze)
 
     p = sub.add_parser("altcoupling", help="renormalization for the bilinear bath coupling")
     _add_param_flags(p)
-    p.add_argument("--f-a0", type=float, default=0.0, help="port-a static coupling weight")
-    p.add_argument("--f-b0", type=float, default=0.0, help="port-b static coupling weight")
+    p.add_argument("--f-a0", type=_finite, default=0.0, help="port-a static coupling weight")
+    p.add_argument("--f-b0", type=_finite, default=0.0, help="port-b static coupling weight")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_altcoupling)
     return parser

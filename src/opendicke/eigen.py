@@ -14,6 +14,7 @@ imaginary axis and splits into two distinct purely damped solutions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -408,6 +409,8 @@ def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None =
         return wa * wa * wb * wb - 4.0 * g * g * wa * wb
 
     lo, hi = float(g_lo), float(g_hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the bisection bracket must be finite, got [{g_lo}, {g_hi}]")
     c_lo, c_hi = const(lo), const(hi)
     if c_lo == 0.0:
         return lo

@@ -1,0 +1,25 @@
+"""Order-preserving fan-out of independent tasks to worker processes."""
+
+from __future__ import annotations
+
+
+def fan_out(fn, tasks, workers: int, chunksize: int = 1):
+    """Yield fn(task) for every task of the list `tasks`, in task order.
+
+    With more than one worker the tasks go to a process pool in chunks of
+    chunksize. The pool never holds more processes than there are chunks,
+    so no idle worker is forked, and it is skipped when that leaves one:
+    the calls then run lazily in this process. Each result is yielded as
+    soon as it and every earlier one are done, so a consumer can stream
+    them without holding them all.
+    """
+    n = min(workers, -(-len(tasks) // chunksize))
+    if n <= 1:
+        yield from map(fn, tasks)
+        return
+    # Deferred: the process-pool machinery is the slowest import of the
+    # package and a one-worker run never needs it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        yield from pool.map(fn, tasks, chunksize=chunksize)

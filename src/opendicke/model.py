@@ -54,6 +54,8 @@ class BathSpec:
     exponent_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma0) and math.isfinite(self.exponent_s)):
+            raise ValueError(f"bath parameters must be finite, got {self.gamma0}, {self.exponent_s}")
         if self.gamma0 < 0:
             raise ValueError(f"gain baths (gamma0 < 0) are not supported, got {self.gamma0}")
         if not self.exponent_s > -1:
@@ -113,6 +115,9 @@ class ModelParams:
     bath_b: BathSpec = BathSpec(0.0)
 
     def __post_init__(self) -> None:
+        for name in ("omega_a", "omega_b", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega_a > 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
         if not self.omega_b > 0:

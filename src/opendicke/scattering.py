@@ -15,14 +15,22 @@ a two-route consistency check.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, Phase, PhaseData, derive_phase, gamma_of
-from .matrices import FLIP_A, INPUT, OUTPUT, build_system, m_matrix, zeta_from_system
+from .model import ModelParams, derive_phase, gamma_of
+from .matrices import (
+    FLIP_A,
+    INPUT,
+    OUTPUT,
+    _effective_baths,
+    build_system,
+    m_matrix,
+    zeta_from_system,
+)
 from .eigen import closed_eigenfrequencies
+from .fanout import fan_out
 
 __all__ = [
     "SpectrumGrid",
@@ -73,15 +81,6 @@ def _s11_rows(system, omega):
     return num / den
 
 
-def _port_weights(pd: PhaseData, params: ModelParams, omega: float) -> tuple:
-    bath_a, bath_b = params.bath_a, params.bath_b
-    if pd.phase is Phase.SUPERRADIANT:
-        bath_b = replace(bath_b, gamma0=pd.gamma_b_tilde_amp)
-    freqs = (params.omega_a, pd.omega_b_tilde)
-    gammas = (gamma_of(bath_a, omega), gamma_of(bath_b, omega))
-    return freqs, gammas
-
-
 def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     """Full 2x2 scattering matrix at one real probe frequency.
 
@@ -100,7 +99,9 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     m_in = m_matrix(pd, params, omega, INPUT)
     m_out = m_matrix(pd, params, omega, OUTPUT)
     t_full = m_out @ np.linalg.inv(m_in)
-    freqs, gammas = _port_weights(pd, params, omega)
+    bath_a, bath_b = _effective_baths(pd, params)
+    freqs = (params.omega_a, pd.omega_b_tilde)
+    gammas = (gamma_of(bath_a, omega), gamma_of(bath_b, omega))
     out = np.empty((2, 2), dtype=complex)
     for j in range(2):
         for k in range(2):
@@ -109,6 +110,11 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
             weight = np.sqrt(freqs[j] / freqs[k] * gammas[k] / gammas[j])
             out[j, k] = weight * scalar
     return out
+
+
+# Rows per formatting task: small enough to balance two workers on a
+# 400-row grid, large enough that a task's text dwarfs its pickling.
+FORMAT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -122,12 +128,11 @@ class SpectrumGrid:
     values: np.ndarray
     phase_labels: tuple[str, ...]
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def to_csv(self, stream, include_phase: bool = False) -> None:
+    def to_csv(self, stream, include_phase: bool = False, workers: int = 1) -> None:
         """Rows of (sweep_value, omega, re, im, abs) behind '#' metadata
-        headers; 12 significant digits throughout."""
+        headers; 12 significant digits throughout. Blocks of rows are
+        formatted by up to `workers` processes and written in order as they
+        arrive; the bytes do not depend on the worker count."""
         sv, pf = self.sweep_values, self.probe_frequencies
         stream.write(
             f"# axis={self.axis} sweep={sv[0]:.11e}:{sv[-1]:.11e}:{sv.size}"
@@ -135,28 +140,58 @@ class SpectrumGrid:
         )
         cols = "sweep_value,omega,re_s11,im_s11,abs_s11"
         stream.write(f"# columns: {cols},phase\n" if include_phase else f"# columns: {cols}\n")
-        mag = self.abs_values()
-        block = np.empty((pf.size, 4))
-        block[:, 0] = pf
-        for i, v in enumerate(sv):
-            block[:, 1] = self.values[i].real
-            block[:, 2] = self.values[i].imag
-            block[:, 3] = mag[i]
-            tail = f",{self.phase_labels[i]}" if include_phase else ""
-            # The constant sweep value (and label) ride inside the row format;
-            # savetxt then formats the whole block in one pass.
-            np.savetxt(stream, block, fmt=f"{v:.11e},%.11e,%.11e,%.11e,%.11e{tail}")
+        blocks = [
+            (
+                sv[i : i + FORMAT_ROWS],
+                self.phase_labels[i : i + FORMAT_ROWS] if include_phase else None,
+                pf,
+                self.values[i : i + FORMAT_ROWS],
+            )
+            for i in range(0, sv.size, FORMAT_ROWS)
+        ]
+        for text in fan_out(_csv_block, blocks, workers):
+            stream.write(text)
 
-    def to_json(self) -> str:
-        """Single document with the magnitude grid flattened row-major."""
-        doc = {
-            "axis": self.axis,
-            "sweep_values": [float(v) for v in self.sweep_values],
-            "probe_frequencies": [float(w) for w in self.probe_frequencies],
-            "abs_s11": [float(x) for x in self.abs_values().ravel()],
-            "phase_labels": list(self.phase_labels),
-        }
-        return json.dumps(doc, separators=(",", ":"))
+    def to_json(self, workers: int = 1) -> str:
+        """Single document with the magnitude grid flattened row-major.
+        Floats use the shortest round-trip repr of json.dumps, and blocks of
+        rows are encoded by up to `workers` processes."""
+        head = json.dumps(
+            {
+                "axis": self.axis,
+                "sweep_values": [float(v) for v in self.sweep_values],
+                "probe_frequencies": [float(w) for w in self.probe_frequencies],
+            },
+            separators=(",", ":"),
+        )
+        labels = json.dumps(list(self.phase_labels), separators=(",", ":"))
+        blocks = [self.values[i : i + FORMAT_ROWS] for i in range(0, len(self.values), FORMAT_ROWS)]
+        parts = list(fan_out(_json_block, blocks, workers))
+        # Splicing head and tail onto the end blocks keeps the peak at two
+        # copies of the abs_s11 text: the blocks and the document.
+        parts[0] = f'{head[:-1]},"abs_s11":[{parts[0]}'
+        parts[-1] = f'{parts[-1]}],"phase_labels":{labels}}}'
+        return ",".join(parts)
+
+
+def _csv_block(block) -> str:
+    sweep, labels, probe, values = block
+    # One template for the whole block: the probe column is formatted once per
+    # block, the sweep value and label once per row, and a single % fills
+    # re, im and |S11| of every cell.
+    cells = ["%.11e," % w + "%.11e,%.11e,%.11e" for w in probe.tolist()]
+    rows = []
+    for i, v in enumerate(sweep.tolist()):
+        head = "%.11e," % v
+        tail = "\n" if labels is None else f",{labels[i]}\n"
+        rows.append(head + (tail + head).join(cells) + tail)
+    nums = np.stack((values.real, values.imag, np.abs(values)), axis=-1)
+    return "".join(rows) % tuple(nums.ravel().tolist())
+
+
+def _json_block(values) -> str:
+    # The C encoder's float repr and NaN/Infinity spelling, without brackets.
+    return json.dumps(np.abs(values).ravel().tolist(), separators=(",", ":"))[1:-1]
 
 
 def _resolve_point(
@@ -203,11 +238,7 @@ def sweep_spectrum(
         raise ValueError("sweep and probe grids must be nonempty")
     _validate_probe(probe)
     tasks = [(params, axis, float(v), probe, linear_gamma_b) for v in sweep]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_spectrum_row, tasks, chunksize=8))
-    else:
-        rows = [_spectrum_row(t) for t in tasks]
+    rows = list(fan_out(_spectrum_row, tasks, workers, chunksize=8))
     values = np.vstack([r[0] for r in rows])
     labels = tuple(r[1] for r in rows)
     return SpectrumGrid(

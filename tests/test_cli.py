@@ -190,6 +190,44 @@ class TestFailureModes:
         assert run(["critical", "--omega-a", "-1"]) == 2
         assert run(["eigen", "--gamma-a", "-0.1", "--sweep", "g:0:0.5:5"]) == 2
 
+    def test_non_integer_parallel_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.PARALLEL_ENV, "abc")
+        assert run(["eigen", "--sweep", "g:0:0.5:5"]) == 2
+        assert cli.PARALLEL_ENV in capsys.readouterr().err
+
+    def test_non_finite_sweep_bound(self, capsys):
+        assert run(["spectrum", "--sweep", "g:0.1:inf:3", "--probe", "0.2:1:4"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert run(["eigen", "--sweep", "g:nan:0.5:3"]) == 2
+
+    def test_non_finite_probe_bound(self, capsys):
+        assert run(["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:inf:4"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_model_params(self, capsys):
+        assert run(["eigen", "--g", "nan", "--sweep", "omega_b:0.5:1:3"]) == 2
+        assert run(["critical", "--omega-b", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_bath(self, capsys):
+        assert run(["eigen", "--gamma-a", "nan", "--sweep", "g:0:0.5:5"]) == 2
+        assert run(["spectrum", "--s-b", "inf", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--g-hi", "inf"],
+        ["critical", "--g-lo", "nan"],
+        ["squeeze", "--omega", "inf"],
+        ["squeeze", "--omega", "1", "--theta", "nan"],
+        ["condensates", "--omega", "inf"],
+        ["altcoupling", "--f-a0", "nan"],
+    ])
+    def test_non_finite_command_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_convergence_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         def explode(params):
             raise ConvergenceError("stuck", 0.1 + 0.0j, 1.0)

@@ -220,6 +220,11 @@ class TestLocateCritical:
     def test_exact_endpoint(self):
         assert locate_critical(make(), g_lo=0.5, g_hi=1.0) == 0.5
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bracket_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            locate_critical(make(), g_lo=lo, g_hi=hi)
+
 
 class TestSweep:
     def test_gap_interval_contains_critical(self):

@@ -41,6 +41,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             make(g=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, bad):
+        for field in ("omega_a", "omega_b", "g"):
+            with pytest.raises(ValueError, match="finite"):
+                make(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_bath_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(bad)
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(0.1, bad)
+
 
 class TestPhaseClassification:
     def test_resonant_critical_point(self):

@@ -9,6 +9,8 @@ from opendicke.model import derive_phase
 from opendicke.matrices import INPUT, zeta
 from opendicke.eigen import closed_eigenfrequencies, open_eigenfrequencies
 from opendicke.scattering import (
+    FORMAT_ROWS,
+    SpectrumGrid,
     find_minima,
     lamb_shift,
     s11,
@@ -280,3 +282,72 @@ class TestSerialization:
         assert len(doc["abs_s11"]) == 8
         assert doc["abs_s11"][:4] == [float(v) for v in np.abs(grid.values[0])]
         assert json.dumps(doc, separators=(",", ":")) == text
+
+
+class TestBlockFormatters:
+    """The block formatters against independent whole-grid references."""
+
+    @staticmethod
+    def _grid(rows):
+        rng = np.random.default_rng(rows)
+        probe = np.linspace(0.1, 1.7, 7)
+        values = rng.normal(size=(rows, probe.size)) + 1j * rng.normal(size=(rows, probe.size))
+        values[0, 0] = complex(-0.0, -0.0)
+        values[0, 1] = complex(math.nan, 0.5)
+        values[-1, 2] = complex(-math.inf, 1.0)
+        values[-1, 3] = complex(0.25, -0.0)
+        labels = ("normal", "critical", "superradiant") * rows
+        return SpectrumGrid(
+            axis="g",
+            sweep_values=np.linspace(0.05, 0.9, rows),
+            probe_frequencies=probe,
+            values=values,
+            phase_labels=labels[:rows],
+        )
+
+    @staticmethod
+    def _csv_reference(grid, include_phase):
+        # The former writer: one np.savetxt per row with the sweep value and
+        # label baked into the row format.
+        out = io.StringIO()
+        sv, pf = grid.sweep_values, grid.probe_frequencies
+        out.write(
+            f"# axis={grid.axis} sweep={sv[0]:.11e}:{sv[-1]:.11e}:{sv.size}"
+            f" probe={pf[0]:.11e}:{pf[-1]:.11e}:{pf.size}\n"
+        )
+        cols = "sweep_value,omega,re_s11,im_s11,abs_s11"
+        out.write(f"# columns: {cols},phase\n" if include_phase else f"# columns: {cols}\n")
+        for i, v in enumerate(sv):
+            row = grid.values[i]
+            block = np.column_stack((pf, row.real, row.imag, np.abs(row)))
+            tail = f",{grid.phase_labels[i]}" if include_phase else ""
+            np.savetxt(out, block, fmt=f"{v:.11e},%.11e,%.11e,%.11e,%.11e{tail}")
+        return out.getvalue()
+
+    @pytest.mark.parametrize("rows", [2 * FORMAT_ROWS + 3, 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_matches_savetxt(self, rows, workers):
+        grid = self._grid(rows)
+        for include_phase in (False, True):
+            out = io.StringIO()
+            grid.to_csv(out, include_phase=include_phase, workers=workers)
+            assert out.getvalue() == self._csv_reference(grid, include_phase)
+        assert "-0.00000000000e+00,-0.00000000000e+00,0.00000000000e+00" in out.getvalue()
+        assert ",nan,5.00000000000e-01,nan," in out.getvalue()
+        assert ",-inf,1.00000000000e+00,inf," in out.getvalue()
+
+    @pytest.mark.parametrize("rows", [2 * FORMAT_ROWS + 3, 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_json_matches_whole_document_dumps(self, rows, workers):
+        grid = self._grid(rows)
+        doc = {
+            "axis": grid.axis,
+            "sweep_values": [float(v) for v in grid.sweep_values],
+            "probe_frequencies": [float(w) for w in grid.probe_frequencies],
+            "abs_s11": [float(x) for x in np.abs(grid.values).ravel()],
+            "phase_labels": list(grid.phase_labels),
+        }
+        text = grid.to_json(workers=workers)
+        assert text == json.dumps(doc, separators=(",", ":"))
+        assert '"abs_s11":[0.0,NaN,' in text
+        assert ",Infinity,0.25," in text
