@@ -39,6 +39,7 @@ from .eigen import (
     locate_critical,
     open_eigenfrequencies,
     sweep_eigenfrequencies,
+    sweep_point,
 )
 from .fanout import fan_out
 from .scattering import sweep_spectrum
@@ -57,30 +58,30 @@ class SweepSpec:
     values: np.ndarray
 
 
-def _parse_grid(text: str, name: str, default_points: int) -> tuple[str, np.ndarray]:
-    parts = text.split(":")
-    if len(parts) == 3:
-        axis, lo, hi = parts[0], parts[1], parts[2]
-        points = default_points
-    elif len(parts) == 4:
-        axis, lo, hi = parts[0], parts[1], parts[2]
-        try:
-            points = int(parts[3])
-        except ValueError as exc:
-            raise UsageError(f"bad point count in --{name} {text!r}") from exc
-    else:
-        raise UsageError(f"--{name} expects axis:start:stop[:points], got {text!r}")
+def _parse_range(text: str, name: str, fields: list[str], default_points: int) -> np.ndarray:
+    """The start:stop[:points] fields of a --name value as an increasing grid."""
     try:
-        lo_f, hi_f = float(lo), float(hi)
+        points = int(fields[2]) if len(fields) == 3 else default_points
+    except ValueError as exc:
+        raise UsageError(f"bad point count in --{name} {text!r}") from exc
+    try:
+        lo, hi = float(fields[0]), float(fields[1])
     except ValueError as exc:
         raise UsageError(f"bad bounds in --{name} {text!r}") from exc
-    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"--{name} bounds must be finite, got {text!r}")
     if points < 2:
         raise UsageError(f"--{name} needs at least 2 points, got {points}")
-    if not hi_f > lo_f:
+    if not hi > lo:
         raise UsageError(f"--{name} range must be increasing, got {text!r}")
-    return axis, np.linspace(lo_f, hi_f, points)
+    return np.linspace(lo, hi, points)
+
+
+def _parse_grid(text: str, name: str, default_points: int) -> tuple[str, np.ndarray]:
+    parts = text.split(":")
+    if len(parts) not in (3, 4):
+        raise UsageError(f"--{name} expects axis:start:stop[:points], got {text!r}")
+    return parts[0], _parse_range(text, name, parts[1:], default_points)
 
 
 def _parse_sweep(text: str, allowed: tuple[str, ...]) -> SweepSpec:
@@ -95,18 +96,10 @@ def _parse_probe(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise UsageError(f"--probe expects start:stop[:points], got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2]) if len(parts) == 3 else 2000
-    except ValueError as exc:
-        raise UsageError(f"bad --probe {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"--probe bounds must be finite, got {text!r}")
-    if not lo > 0:
-        raise UsageError(f"probe lower bound must be positive, got {lo}")
-    if points < 2 or not hi > lo:
-        raise UsageError(f"bad --probe {text!r}")
-    return np.linspace(lo, hi, points)
+    probe = _parse_range(text, "probe", parts, 2000)
+    if not probe[0] > 0:
+        raise UsageError(f"probe lower bound must be positive, got {float(probe[0])}")
+    return probe
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
@@ -162,7 +155,8 @@ def _summary(path: str, rows: int, cols: int, t0: float) -> None:
 
 def _eigen_point(args) -> object:
     params, axis, value = args
-    return open_eigenfrequencies(replace(params, **{axis: value}))
+    with sweep_point(axis, value):
+        return open_eigenfrequencies(replace(params, **{axis: value}))
 
 
 def _cmd_eigen(args: argparse.Namespace) -> int:

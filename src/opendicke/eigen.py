@@ -4,8 +4,9 @@ Ohmic baths make A - i Gamma / 2 a constant matrix, so its four eigenvalues
 are the open-system eigenfrequencies directly. Non-ohmic baths turn
 zeta(omega) = 0 into a transcendental problem, solved here by continuation in
 the bath exponent: start from the ohmic roots at s = 0 and walk s toward its
-target in capped increments, polishing every root with a damped Newton
-iteration at each step.
+target in capped increments, polishing every root at each step with one
+damped Newton (`_newton`): in the complex plane, or for a purely damped
+pair in the real rate y of zeta(-i y) = 0.
 
 All physical roots live in the closed lower half plane (causality). Between
 the phases a gap can open where the lower root pair collapses onto the
@@ -15,11 +16,12 @@ imaginary axis and splits into two distinct purely damped solutions.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, Phase, derive_phase
+from .model import ModelParams, Phase, PhaseData, derive_phase
 from .matrices import (
     INPUT,
     BogoliubovSystem,
@@ -59,8 +61,22 @@ class ConvergenceError(RuntimeError):
 
     def __init__(self, message: str, last_iterate: complex, residual: float):
         super().__init__(f"{message} (last iterate {last_iterate}, residual {residual:.3e})")
+        self.message = message
         self.last_iterate = last_iterate
         self.residual = residual
+
+    def __reduce__(self):  # args holds only the formatted text
+        return type(self), (self.message, self.last_iterate, self.residual)
+
+
+@contextmanager
+def sweep_point(axis: str, value):
+    """Name the sweep point in a ConvergenceError raised by the enclosed solve."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        message = f"sweep failed at {axis} = {value}: {exc.message}"
+        raise ConvergenceError(message, exc.last_iterate, exc.residual) from exc
 
 
 @dataclass(frozen=True)
@@ -119,19 +135,22 @@ def _pair_by_mirror(roots) -> list[tuple[complex, complex]]:
     return pairs
 
 
+def _on_axis(a: complex, b: complex, tol: float = AXIS_TOL) -> bool:
+    return abs(a.real) <= tol and abs(b.real) <= tol
+
+
+def _is_gap(a: complex, b: complex) -> bool:
+    """The gap rule: a mirror pair on the axis with two distinct rates."""
+    return _on_axis(a, b) and abs(a.imag - b.imag) > SPLIT_TOL
+
+
 def _label_roots(roots) -> EigenSet:
     rs = sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
     (low_rep, low_part), (up_rep, up_part) = _pair_by_mirror(rs)
-
-    def on_axis(p):
-        return abs(p[0].real) <= AXIS_TOL and abs(p[1].real) <= AXIS_TOL
-
-    gap = False
-    if on_axis((low_rep, low_part)):
+    if _on_axis(low_rep, low_part):
         # Purely damped pair: order by damping, least damped is the branch.
         low_rep, low_part = sorted((low_rep, low_part), key=lambda w: -w.imag)
-        gap = abs(low_rep.imag - low_part.imag) > SPLIT_TOL
-    if on_axis((up_rep, up_part)):
+    if _on_axis(up_rep, up_part):
         up_rep, up_part = sorted((up_rep, up_part), key=lambda w: -w.imag)
     return EigenSet(
         roots=tuple(rs),
@@ -139,7 +158,7 @@ def _label_roots(roots) -> EigenSet:
         upper=up_rep,
         lower_pair=(low_rep, low_part),
         upper_pair=(up_rep, up_part),
-        gap=gap,
+        gap=_is_gap(low_rep, low_part),
     )
 
 
@@ -148,14 +167,19 @@ def _require_ohmic(params: ModelParams) -> None:
         raise ValueError("this solver requires ohmic baths (s = 0 on both ports)")
 
 
+def _ohmic_roots(pd: PhaseData, params: ModelParams, system: BogoliubovSystem) -> np.ndarray:
+    """Eigenvalues of A - i Gamma(1) / 2. Gamma(1) holds the amplitudes
+    gamma0 exactly for every exponent (gamma0 * 1.0**s == gamma0), so this
+    is the ohmic spectrum at the same amplitudes."""
+    return np.linalg.eigvals(system.a_matrix - 0.5j * build_gamma(pd, params, 1.0, INPUT))
+
+
 def open_eigenfrequencies_ohmic(params: ModelParams) -> EigenSet:
     """Eigenfrequencies for constant damping rates: the four eigenvalues of
     the constant matrix A - i Gamma / 2 in the phase-appropriate form."""
     _require_ohmic(params)
     pd = derive_phase(params)
-    a = build_system(pd, params).a_matrix
-    gam = build_gamma(pd, params, 1.0, INPUT)
-    return _label_roots(np.linalg.eigvals(a - 0.5j * gam))
+    return _label_roots(_ohmic_roots(pd, params, build_system(pd, params)))
 
 
 def open_eigenfrequencies_companion(params: ModelParams) -> EigenSet:
@@ -170,90 +194,60 @@ def open_eigenfrequencies_companion(params: ModelParams) -> EigenSet:
 AXIS_SWITCH = 1e-8  # |Re| below which the continuation treats a root as on-axis
 
 
-def _newton_complex(f, w0: complex, const_term: float, subohmic: bool) -> complex:
-    """Polish one off-axis root of the scalar function f by damped Newton.
+def _newton(f, x0, const_term: float, subohmic: bool, axis: bool):
+    """Polish one root of the scalar function f by damped Newton: a complex
+    frequency w, or with axis=True the rate y of a purely damped root -i y,
+    for which f(y) = zeta(-i y) is real (gamma is real on the axis).
 
-    The derivative is a central difference with step 1e-7 max(1, |w|); the
+    The derivative is a central difference with step 1e-7 max(1, |x|); the
     analytic derivative would be branch sensitive through the continued
-    gamma(omega). The difference is taken parallel to the nearer axis so it
-    never straddles the continuation cut on the imaginary axis, and every
-    iterate is reflected into Re >= 0 (free of charge: the mirror symmetry
-    zeta(-conj w) = conj zeta(w) leaves the residual unchanged). Iterates
-    that drift inside PIN_RADIUS while zeta(0) vanishes are pinned to
-    exactly 0, which also sidesteps the subohmic singularity there.
+    gamma(omega). Off the axis it is taken parallel to the nearer axis so it
+    never straddles the cut, and every iterate is reflected into Re >= 0
+    (the mirror symmetry zeta(-conj w) = conj zeta(w) keeps the residual).
+    Iterates inside PIN_RADIUS while zeta(0) vanishes are pinned to exactly
+    0, which also sidesteps the subohmic singularity there.
     """
-    w = complex(w0)
-    if w.real < 0.0:
-        w = _mirror(w)
-    for _ in range(NEWTON_MAXIT):
-        if abs(w) < PIN_RADIUS:
-            if abs(const_term) < PIN_CONST:
-                return 0.0 + 0.0j
-            if subohmic and abs(w) < 1e-13:
-                raise ConvergenceError(
-                    "iterate collapsed onto the singular origin", w, abs(const_term)
-                )
-        fw = f(w)
-        h = 1e-7 * max(1.0, abs(w))
-        step = h if abs(w.real) >= 10.0 * h else 1j * h
-        df = (f(w + step) - f(w - step)) / (2.0 * step)
-        if df == 0:
-            raise ConvergenceError("vanishing derivative", w, abs(fw))
-        dw = -fw / df
-        scale = 1.0
-        wn = w + dw
-        if wn.real < 0.0:
-            wn = _mirror(wn)
-        fn = f(wn)
-        while abs(fn) > abs(fw) and scale > 1.0 / 256.0:
-            scale *= 0.5
-            wn = w + scale * dw
-            if wn.real < 0.0:
-                wn = _mirror(wn)
-            fn = f(wn)
-        if abs(fn) > abs(fw) and abs(scale * dw) > NEWTON_TOL:
-            raise ConvergenceError("backtracking stalled", w, abs(fw))
-        moved = abs(wn - w)
-        w = wn
-        if moved < NEWTON_TOL:
-            return w
-    raise ConvergenceError("no convergence within iteration budget", w, abs(f(w)))
 
+    def at(x):
+        return -1j * x if axis else x
 
-def _newton_axis(f, y0: float, const_term: float, subohmic: bool) -> float:
-    """Polish one purely damped root: the rate y > 0 solving the real
-    equation zeta(-i y) = 0 (real because gamma is real on the axis)."""
-    y = float(y0)
+    def fold(x):
+        return _mirror(x) if not axis and x.real < 0.0 else x
+
+    x = fold(float(x0) if axis else complex(x0))
     for _ in range(NEWTON_MAXIT):
-        if abs(y) < PIN_RADIUS:
+        if abs(x) < PIN_RADIUS:
             if abs(const_term) < PIN_CONST:
-                return 0.0
-            if subohmic and abs(y) < 1e-13:
+                return 0.0 if axis else 0.0 + 0.0j
+            if subohmic and abs(x) < 1e-13:
                 raise ConvergenceError(
-                    "iterate collapsed onto the singular origin", -1j * y, abs(const_term)
+                    "iterate collapsed onto the singular origin", at(x), abs(const_term)
                 )
-        fy = f(y)
-        h = 1e-7 * max(1.0, abs(y))
-        df = (f(y + h) - f(y - h)) / (2.0 * h)
+        fx = f(x)
+        h = 1e-7 * max(1.0, abs(x))
+        step = h if axis or abs(x.real) >= 10.0 * h else 1j * h
+        df = (f(x + step) - f(x - step)) / (2.0 * step)
         if df == 0:
-            raise ConvergenceError("vanishing derivative", -1j * y, abs(fy))
-        dy = -fy / df
+            raise ConvergenceError("vanishing derivative", at(x), abs(fx))
+        dx = -fx / df
         scale = 1.0
-        yn = y + dy
-        fn = f(yn)
-        while abs(fn) > abs(fy) and scale > 1.0 / 256.0:
+        xn = fold(x + dx)
+        fn = f(xn)
+        while abs(fn) > abs(fx) and scale > 1.0 / 256.0:
             scale *= 0.5
-            yn = y + scale * dy
-            fn = f(yn)
-        if abs(fn) > abs(fy) and abs(scale * dy) > NEWTON_TOL:
-            raise ConvergenceError("backtracking stalled", -1j * y, abs(fy))
-        moved = abs(yn - y)
-        y = yn
+            xn = fold(x + scale * dx)
+            fn = f(xn)
+        if abs(fn) > abs(fx) and abs(scale * dx) > NEWTON_TOL:
+            raise ConvergenceError("backtracking stalled", at(x), abs(fx))
+        moved = abs(xn - x)
+        x = xn
         if moved < NEWTON_TOL:
-            if y < -1e-10:
-                raise ConvergenceError("axis root crossed into the upper half plane", -1j * y, abs(fn))
-            return max(y, 0.0)
-    raise ConvergenceError("no convergence within iteration budget", -1j * y, abs(f(y)))
+            if not axis:
+                return x
+            if x < -1e-10:
+                raise ConvergenceError("axis root crossed into the upper half plane", at(x), abs(fn))
+            return max(x, 0.0)
+    raise ConvergenceError("no convergence within iteration budget", at(x), abs(f(x)))
 
 
 def _classify_pairs(roots) -> list[tuple]:
@@ -262,9 +256,8 @@ def _classify_pairs(roots) -> list[tuple]:
     damped rates."""
     state: list[tuple] = []
     for rep, part in _pair_by_mirror(roots):
-        if abs(rep.real) <= AXIS_SWITCH and abs(part.real) <= AXIS_SWITCH:
-            ys = sorted((-rep.imag, -part.imag))
-            state.append(("axis", ys[0], ys[1]))
+        if _on_axis(rep, part, AXIS_SWITCH):
+            state.append(("axis", *sorted((-rep.imag, -part.imag))))
         else:
             w = rep if rep.real >= 0 else _mirror(rep)
             state.append(("off", w))
@@ -296,7 +289,7 @@ def _advance_pairs(system: BogoliubovSystem, state, const: float, subohmic: bool
     new_state: list[tuple] = []
     for pair in state:
         if pair[0] == "off":
-            w = _newton_complex(f, pair[1], const, subohmic)
+            w = _newton(f, pair[1], const, subohmic, axis=False)
             if abs(w.real) > AXIS_SWITCH or abs(w) < PIN_RADIUS:
                 new_state.append(("off", w))
                 continue
@@ -304,34 +297,33 @@ def _advance_pairs(system: BogoliubovSystem, state, const: float, subohmic: bool
             # rate into the two damped solutions emerging around it.
             y_mid = -w.imag
             ys = sorted(
-                _newton_axis(f_axis, y_mid * (1.0 + off), const, subohmic)
+                _newton(f_axis, y_mid * (1.0 + off), const, subohmic, axis=True)
                 for off in (-1e-3, 1e-3)
             )
-            new_state.append(("axis", ys[0], ys[1]))
+            new_state.append(("axis", *ys))
         else:
             _, y_a, y_b = pair
             try:
-                ya = _newton_axis(f_axis, y_a, const, subohmic)
-                yb = _newton_axis(f_axis, y_b, const, subohmic)
+                ya = _newton(f_axis, y_a, const, subohmic, axis=True)
+                yb = _newton(f_axis, y_b, const, subohmic, axis=True)
             except ConvergenceError:
                 # No real zero left near the previous rates: the pair has
                 # annihilated on the axis and moved sideways. Chase it in the
                 # complex plane; if that lands back on the axis the stall was
                 # genuine, so reraise for the outer step control.
                 delta = max(1e-6, abs(y_a - y_b))
-                w = _newton_complex(f, complex(delta, -0.5 * (y_a + y_b)), const, subohmic)
+                w = _newton(f, complex(delta, -0.5 * (y_a + y_b)), const, subohmic, axis=False)
                 if abs(w.real) <= AXIS_SWITCH:
                     raise
                 new_state.append(("off", w))
                 continue
             collided = abs(ya - yb) < 1e-10 and max(abs(ya), abs(yb)) > PIN_RADIUS
             if not collided:
-                ys = sorted((ya, yb))
-                new_state.append(("axis", ys[0], ys[1]))
+                new_state.append(("axis", *sorted((ya, yb))))
                 continue
             # The two rates merged exactly: the pair leaves the axis sideways.
             delta = max(1e-6, 2.0 * abs(y_a - y_b))
-            w = _newton_complex(f, complex(delta, -0.5 * (ya + yb)), const, subohmic)
+            w = _newton(f, complex(delta, -0.5 * (ya + yb)), const, subohmic, axis=False)
             new_state.append(("off", w))
     return new_state
 
@@ -348,13 +340,7 @@ def open_eigenfrequencies_nonohmic(params: ModelParams) -> EigenSet:
     pd = derive_phase(params)
     system = build_system(pd, params)
     sa, sb = system.bath_a.exponent_s, system.bath_b.exponent_s
-    g0a, g0b = system.bath_a.gamma0, system.bath_b.gamma0
-    gam0 = np.zeros((4, 4), dtype=complex)
-    gam0[0, 0] = gam0[1, 1] = g0a
-    gam0[0, 1] = gam0[1, 0] = -g0a
-    gam0[2, 2] = gam0[3, 3] = g0b
-    gam0[2, 3] = gam0[3, 2] = -g0b
-    roots = [complex(z) for z in np.linalg.eigvals(system.a_matrix - 0.5j * gam0)]
+    roots = [complex(z) for z in _ohmic_roots(pd, params, system)]
     const = zeta_constant_term(pd, params)
 
     s_max = max(abs(sa), abs(sb))
@@ -366,9 +352,8 @@ def open_eigenfrequencies_nonohmic(params: ModelParams) -> EigenSet:
     halvings = 0
     while t < 1.0 - 1e-15:
         t_next = min(1.0, t + dt)
-        stepped = BogoliubovSystem(
-            phase=system.phase,
-            a_matrix=system.a_matrix,
+        stepped = replace(
+            system,
             bath_a=replace(system.bath_a, exponent_s=t_next * sa),
             bath_b=replace(system.bath_b, exponent_s=t_next * sb),
         )
@@ -497,12 +482,8 @@ def sweep_eigenfrequencies(
         if eigensets is not None:
             es = eigensets[i]
         else:
-            try:
+            with sweep_point(axis, v):
                 es = open_eigenfrequencies(p)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"sweep failed at {axis} = {v}: {exc}", exc.last_iterate, exc.residual
-                ) from exc
         if prev is None:
             lab = {
                 "lower": es.lower,
@@ -520,12 +501,7 @@ def sweep_eigenfrequencies(
                     lab[name], lab[mirror] = lab[mirror], lab[name]
         for name in _LABELS:
             cols[name][i] = lab[name]
-        pair = (lab["lower"], lab["lower_mirror"])
-        gap[i] = (
-            abs(pair[0].real) <= AXIS_TOL
-            and abs(pair[1].real) <= AXIS_TOL
-            and abs(pair[0].imag - pair[1].imag) > SPLIT_TOL
-        )
+        gap[i] = _is_gap(lab["lower"], lab["lower_mirror"])
         phases.append(derive_phase(p).phase)
         prev = lab
     return BranchTable(

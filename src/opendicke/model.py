@@ -46,8 +46,10 @@ class BathSpec:
     """Power-law damping of one loss port, gamma(w) = gamma0 * |w|**s.
 
     s = 0 is the ohmic case (constant rate), -1 < s < 0 subohmic, s > 0
-    superohmic. Exponents s <= -1 are pathological (w * gamma(w) would not
-    vanish at w = 0) and gain (gamma0 < 0) is not supported.
+    superohmic; the admissible range is -1 < s <= 2. Exponents s <= -1 are
+    pathological (w * gamma(w) would not vanish at w = 0). Above s = 2 zeta
+    gains a zero in the upper half plane, a growing mode that the exponent
+    continuation never tracks. Gain (gamma0 < 0) is not supported.
     """
 
     gamma0: float
@@ -60,6 +62,11 @@ class BathSpec:
             raise ValueError(f"gain baths (gamma0 < 0) are not supported, got {self.gamma0}")
         if not self.exponent_s > -1:
             raise ValueError(f"bath exponent must satisfy s > -1, got {self.exponent_s}")
+        if self.exponent_s > 2:
+            raise ValueError(
+                f"bath exponent must satisfy s <= 2, got {self.exponent_s}: above s = 2 "
+                "zeta has a zero in the upper half plane (a growing mode)"
+            )
 
 
 def gamma_of(bath: BathSpec, omega):

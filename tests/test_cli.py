@@ -237,6 +237,35 @@ class TestFailureModes:
         assert rc == 3
         assert "stuck" in capsys.readouterr().err
 
+    def test_convergence_failure_in_a_worker_exits_3(self, monkeypatch, tmp_path, capsys):
+        # 17 points make two chunks, so two forked workers inherit the patch
+        # and the error has to cross the process boundary.
+        def explode(params):
+            raise ConvergenceError("stuck", 0.1 + 0.0j, 1.0)
+
+        monkeypatch.setattr(cli, "open_eigenfrequencies", explode)
+        rc = run(["eigen", "--sweep", "g:0.1:0.3:17", "--parallel", "2",
+                  "-o", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "sweep failed at g = 0.1: stuck" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bath_exponent_above_two_exits_2(self, capsys):
+        assert run(["eigen", "--s-a", "2.2", "--sweep", "g:0:0.5:5"]) == 2
+        assert "upper half plane" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe, message", [
+        ("0.2:1:1", "--probe needs at least 2 points"),
+        ("0.2:1:x", "bad point count in --probe"),
+        ("0.2:y:4", "bad bounds in --probe"),
+        ("0.5:0.2:4", "--probe range must be increasing"),
+        ("-0.5:0.2:4", "probe lower bound must be positive"),
+    ])
+    def test_probe_range_checks(self, probe, message, capsys):
+        assert run(["spectrum", "--sweep", "g:0.1:0.3:3", f"--probe={probe}"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_io_failure_exits_4(self, capsys):
         rc = run(["critical", "-o", "/nonexistent-dir/out.csv"])
         assert rc == 4

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import opendicke.eigen as eigen_mod
 from opendicke.model import Phase, derive_phase
-from opendicke.matrices import INPUT, zeta
+from opendicke.matrices import INPUT, m_matrix, zeta
 from opendicke.eigen import (
     ConvergenceError,
     closed_eigenfrequencies,
@@ -15,6 +16,7 @@ from opendicke.eigen import (
     open_eigenfrequencies_nonohmic,
     open_eigenfrequencies_ohmic,
     sweep_eigenfrequencies,
+    sweep_point,
 )
 
 from conftest import make
@@ -291,3 +293,133 @@ class TestSweep:
         monkeypatch.setattr(eigen_mod, "open_eigenfrequencies", explode)
         with pytest.raises(ConvergenceError, match="g = 0.25"):
             sweep_eigenfrequencies(make(sa=-0.5), "g", np.array([0.25, 0.5]))
+
+
+def _newton(f, x0, const=1.0, subohmic=False, axis=False):
+    return eigen_mod._newton(f, x0, const, subohmic, axis)
+
+
+class TestNewtonExits:
+    """One synthetic scalar function per exit of the damped Newton."""
+
+    def test_iterates_are_folded_into_the_right_half_plane(self):
+        # Plain Newton on w^2 + 2i from -0.1 + i converges to -1 + i; the
+        # start and the first step (to -0.94 + 0.40i) are both mirrored.
+        seen = []
+
+        def f(w):
+            seen.append(w)
+            return w * w + 2j
+
+        assert abs(_newton(f, -0.1 + 1j) - (1 - 1j)) < 1e-12
+        assert seen[0] == 0.1 + 1j
+        assert min(w.real for w in seen) >= 0.0
+
+    def test_pins_zero_when_zeta_vanishes_at_the_origin(self):
+        def f(x):
+            raise AssertionError("the pin needs no evaluation")
+
+        w = _newton(f, 1e-9 - 1e-9j, const=0.0)
+        y = _newton(f, 1e-9, const=0.0, axis=True)
+        assert type(w) is complex and w == 0
+        assert type(y) is float and y == 0
+
+    @pytest.mark.parametrize("axis, x0, iterate", [(False, 1e-14 - 1e-14j, 1e-14 - 1e-14j),
+                                                   (True, 1e-14, -1e-14j)])
+    def test_subohmic_collapse_onto_the_origin_raises(self, axis, x0, iterate):
+        with pytest.raises(ConvergenceError, match="collapsed onto the singular origin") as exc:
+            _newton(lambda x: 1.0, x0, const=0.5, subohmic=True, axis=axis)
+        assert exc.value.last_iterate == iterate
+        assert exc.value.residual == 0.5
+
+    def test_vanishing_derivative_raises(self):
+        with pytest.raises(ConvergenceError, match="vanishing derivative"):
+            _newton(lambda w: 1.0 + 0.0j, 1.0 - 1.0j)
+
+    def test_backtracking_stall_raises(self):
+        # f(y) = y + 1 only within 1e-3 of y = 2; the full step lands on the
+        # plateau, and so does every halving down to 1/256 of it.
+        def f(y):
+            return y + 1.0 if abs(y - 2.0) < 1e-3 else 1e3
+
+        with pytest.raises(ConvergenceError, match="backtracking stalled") as exc:
+            _newton(f, 2.0, axis=True)
+        assert exc.value.last_iterate == -2j
+
+    def test_iteration_budget_raises(self):
+        # exp(-y) has no root: every Newton step is +1 and lowers |f|.
+        with pytest.raises(ConvergenceError, match="no convergence within iteration budget"):
+            _newton(lambda y: math.exp(-y), 1.0, axis=True)
+
+    def test_axis_root_in_the_upper_half_plane_raises(self):
+        with pytest.raises(ConvergenceError, match="crossed into the upper half plane") as exc:
+            _newton(lambda y: y + 1.0, 1.0, axis=True)
+        assert abs(exc.value.last_iterate - 1j) < 1e-12
+
+    def test_axis_root_within_rounding_of_zero_is_clamped(self):
+        assert _newton(lambda y: y + 5e-11, 1.0, axis=True) == 0.0
+
+
+class TestGapEdgeContinuation:
+    def test_axis_pair_is_chased_off_the_axis(self, monkeypatch):
+        # Near the ohmic gap edge g = 0.4925 the on-axis pair annihilates
+        # while the exponents move, so an axis solve fails and the pair is
+        # chased in the complex plane.
+        calls = []
+        newton = eigen_mod._newton
+
+        def spy(f, x0, const, subohmic, axis):
+            try:
+                out = newton(f, x0, const, subohmic, axis)
+            except ConvergenceError:
+                calls.append((axis, False))
+                raise
+            calls.append((axis, True))
+            return out
+
+        monkeypatch.setattr(eigen_mod, "_newton", spy)
+        p = make(g=0.4925, ga=0.3, gb=0.2, sa=0.5, sb=-0.5)
+        es = open_eigenfrequencies(p)
+        assert any(a == (True, False) and b[0] is False for a, b in zip(calls, calls[1:]))
+
+        pd = derive_phase(p)
+        for z in es.roots:
+            m = m_matrix(pd, p, z)
+            assert abs(np.linalg.det(m)) <= 1e-9 * np.prod(np.linalg.norm(m, axis=1))
+        assert len(set(es.roots)) == 4
+        for rep, partner in (es.lower_pair, es.upper_pair):
+            assert abs(partner + rep.conjugate()) < 1e-12
+
+
+class TestConvergenceErrorPickles:
+    def test_round_trip_keeps_text_and_fields(self):
+        err = ConvergenceError("stuck", 0.1 - 0.2j, 3.0)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ConvergenceError
+        assert str(back) == str(err) == "stuck (last iterate (0.1-0.2j), residual 3.000e+00)"
+        assert back.last_iterate == 0.1 - 0.2j and back.residual == 3.0
+
+    def test_sweep_point_names_the_point(self):
+        with pytest.raises(ConvergenceError) as exc:
+            with sweep_point("g", 0.25):
+                raise ConvergenceError("boom", 0.1 + 0.0j, 1.0)
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert str(back).startswith("sweep failed at g = 0.25: boom (last iterate")
+
+
+class TestExponentDomain:
+    def test_quadratic_bath_is_solved(self):
+        p = make(g=0.3, ga=0.3, gb=0.2, sa=2.0)
+        pd = derive_phase(p)
+        es = open_eigenfrequencies(p)
+        assert max(z.imag for z in es.roots) <= 0.0
+        for z in es.roots:
+            m = m_matrix(pd, p, z)
+            assert abs(np.linalg.det(m)) <= 1e-9 * np.prod(np.linalg.norm(m, axis=1))
+
+
+class TestGapRule:
+    def test_split_axis_pair_only(self):
+        assert eigen_mod._is_gap(-0.1j, -0.2j)
+        assert not eigen_mod._is_gap(-0.1j, -0.1j)  # double rate: no split
+        assert not eigen_mod._is_gap(0.1 - 0.1j, -0.1 - 0.2j)  # off the axis

@@ -31,6 +31,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             BathSpec(0.1, -1.5)
 
+    def test_exponent_above_two_rejected(self):
+        assert BathSpec(0.1, 2.0).exponent_s == 2.0
+        with pytest.raises(ValueError, match="upper half plane"):
+            BathSpec(0.1, 2.2)
+        with pytest.raises(ValueError, match="s <= 2"):
+            BathSpec(0.1, 2.0000001)
+
     def test_nonpositive_frequencies_rejected(self):
         with pytest.raises(ValueError):
             make(omega_a=0.0)
