@@ -28,7 +28,6 @@ from .matrices import (
     m_matrix,
     zeta,
     zeta_constant_term,
-    zeta_np_quartic_coeffs,
     zeta_quartic_coeffs,
 )
 from .eigen import (
@@ -96,6 +95,5 @@ __all__ = [
     "two_mode_variance",
     "zeta",
     "zeta_constant_term",
-    "zeta_np_quartic_coeffs",
     "zeta_quartic_coeffs",
 ]

@@ -283,6 +283,8 @@ def _cmd_squeeze(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if not args.omega > 0:
         raise UsageError(f"--omega must be positive, got {args.omega}")
+    if args.phi_points < 1:
+        raise UsageError(f"--phi-points must be >= 1, got {args.phi_points}")
     vacuum = 1.0 / (2.0 * args.omega)
     phis = np.linspace(0.0, 2.0 * np.pi, args.phi_points, endpoint=False)
     lines = []

@@ -384,7 +384,8 @@ def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None =
 
     That term is omega_a^2 omega_b^2 - 4 g^2 omega_a omega_b: no bath
     quantity enters it, so the result is identical for every damping law.
-    The default bracket is [0, 2 g_c].
+    The default bracket is [0, 2 g_c]; a bracket must satisfy
+    0 <= g_lo < g_hi.
     """
     wa, wb = params.omega_a, params.omega_b
     if g_hi is None:
@@ -396,6 +397,10 @@ def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None =
     lo, hi = float(g_lo), float(g_hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the bisection bracket must be finite, got [{g_lo}, {g_hi}]")
+    if not 0.0 <= lo < hi:
+        raise ValueError(
+            f"the bisection bracket must satisfy 0 <= g_lo < g_hi, got [{g_lo}, {g_hi}]"
+        )
     c_lo, c_hi = const(lo), const(hi)
     if c_lo == 0.0:
         return lo

@@ -8,7 +8,16 @@ decay matrix Gamma(omega) is block diagonal over the two ports with rank-one
     zeta(omega) = det(A - i Gamma(omega) / 2 - omega I)
 
 is normalized with a +1 coefficient on omega^4 (the determinant already is).
-Its zeros are the complex eigenfrequencies of the open system.
+Its zeros are the complex eigenfrequencies of the open system. The damping
+enters only the two port blocks, so in either phase zeta factorizes exactly,
+
+    zeta(omega) = (omega^2 + i gamma_a omega - omega_a^2)
+                  (omega^2 + i gamma_b omega - omega_b~^2 - 4 d omega_b~)
+                  - 4 g~^2 omega_a omega_b~,
+
+with omega_b~, g~, d and the saturated matter rate from PhaseData (bare, and
+d = 0, in the normal phase). It holds at any fixed omega for every bath law,
+with gamma_j = gamma_j(omega) carrying the signature signs.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ __all__ = [
     "m_matrix",
     "zeta",
     "zeta_from_system",
-    "zeta_np_quartic_coeffs",
     "zeta_quartic_coeffs",
     "zeta_constant_term",
 ]
@@ -81,15 +89,12 @@ class BogoliubovSystem:
 def build_a_matrix(phase_data: PhaseData, params: ModelParams) -> np.ndarray:
     """Dynamical matrix whose eigenvalues are the closed excitation energies.
 
-    In the normal (and critical) phase the bare (omega_b, g) enter with no
-    quadratic matter shift; in the superradiant phase omega_b_tilde, g_tilde
-    and the 2 d_term shift take their places.
+    PhaseData holds the bare (omega_b, g) and d_term = 0 in the normal (and
+    critical) phase and the renormalized values in the superradiant phase,
+    so the one matrix serves both.
     """
     wa = params.omega_a
-    if phase_data.phase is Phase.SUPERRADIANT:
-        wb, g, d = phase_data.omega_b_tilde, phase_data.g_tilde, phase_data.d_term
-    else:
-        wb, g, d = params.omega_b, params.g, 0.0
+    wb, g, d = phase_data.omega_b_tilde, phase_data.g_tilde, phase_data.d_term
     return np.array(
         [
             [wa, 0.0, g, g],
@@ -210,69 +215,36 @@ def zeta(
     return zeta_from_system(build_system(phase_data, params), omega, signature)
 
 
-def zeta_np_quartic_coeffs(params: ModelParams, signature: ZetaSignature = INPUT) -> np.ndarray:
-    """Quartic coefficients of zeta in the normal phase with constant rates.
-
-    Ordered from omega^4 down to the constant term:
-
-        (1,
-         i (ga + gb),
-         -(omega_a^2 + omega_b^2 + ga gb),
-         -i (omega_a^2 gb + omega_b^2 ga),
-         omega_a^2 omega_b^2 - 4 g^2 omega_a omega_b)
-
-    with the signature signs already applied to ga, gb. Only defined for
-    ohmic baths (s = 0 on both ports).
-    """
-    if params.bath_a.exponent_s != 0.0 or params.bath_b.exponent_s != 0.0:
-        raise ValueError("closed-form quartic coefficients require ohmic baths (s = 0)")
-    wa, wb = params.omega_a, params.omega_b
-    ga = signature.sign_a * params.bath_a.gamma0
-    gb = signature.sign_b * params.bath_b.gamma0
-    return np.array(
-        [
-            1.0,
-            1j * (ga + gb),
-            -(wa**2 + wb**2 + ga * gb),
-            -1j * (wa**2 * gb + wb**2 * ga),
-            wa**2 * wb**2 - 4.0 * params.g**2 * wa * wb,
-        ],
-        dtype=complex,
-    )
-
-
 def zeta_quartic_coeffs(
     phase_data: PhaseData,
     params: ModelParams,
     signature: ZetaSignature = INPUT,
 ) -> np.ndarray:
-    """Quartic coefficients of zeta for constant rates in either phase.
+    """Quartic coefficients of zeta for constant rates, omega^4 first.
 
-    The normal phase has a closed form. The superradiant polynomial is not
-    written out anywhere; its coefficients are recovered by sampling zeta at
-    five Chebyshev nodes and solving the Vandermonde system.
+    The product of the two port quadratics (module docstring), with the
+    signature signs on the rates and the constant term taken from
+    zeta_constant_term. Only defined for ohmic baths (s = 0 on both ports).
     """
-    if phase_data.phase is not Phase.SUPERRADIANT:
-        return zeta_np_quartic_coeffs(params, signature)
     if params.bath_a.exponent_s != 0.0 or params.bath_b.exponent_s != 0.0:
         raise ValueError("quartic coefficients require ohmic baths (s = 0)")
-    system = build_system(phase_data, params)
-    radius = 2.0 * max(params.omega_a, phase_data.omega_b_tilde) + 1.0
-    nodes = radius * np.cos(np.pi * (2.0 * np.arange(5) + 1.0) / 10.0)
-    values = np.array([zeta_from_system(system, x, signature) for x in nodes])
-    return np.linalg.solve(np.vander(nodes, 5).astype(complex), values)
+    bath_a, bath_b = _effective_baths(phase_data, params)
+    wa, wbt, d = params.omega_a, phase_data.omega_b_tilde, phase_data.d_term
+    coeffs = np.polymul(
+        [1.0, 1j * (signature.sign_a * bath_a.gamma0), -(wa**2)],
+        [1.0, 1j * (signature.sign_b * bath_b.gamma0), -(wbt**2 + 4.0 * d * wbt)],
+    )
+    coeffs[-1] = zeta_constant_term(phase_data, params)
+    return coeffs
 
 
 def zeta_constant_term(phase_data: PhaseData, params: ModelParams) -> float:
     """zeta(0), which carries no damping for any well-behaved bath.
 
-    Normal phase: omega_a^2 omega_b^2 - 4 g^2 omega_a omega_b, whose zero is
-    the critical coupling. Superradiant phase: det(A) with the renormalized
-    matter entries; positive above the transition.
+    omega_a^2 (omega_b~^2 + 4 d omega_b~) - 4 g~^2 omega_a omega_b~. In the
+    normal phase (bare values, d = 0) its zero is the critical coupling;
+    above the transition it is det(A), positive.
     """
-    wa = params.omega_a
-    if phase_data.phase is Phase.SUPERRADIANT:
-        wbt, gt, d = phase_data.omega_b_tilde, phase_data.g_tilde, phase_data.d_term
-        return wa**2 * (wbt**2 + 4.0 * d * wbt) - 4.0 * gt**2 * wa * wbt
-    wb = params.omega_b
-    return wa**2 * wb**2 - 4.0 * params.g**2 * wa * wb
+    wa, wbt = params.omega_a, phase_data.omega_b_tilde
+    gt, d = phase_data.g_tilde, phase_data.d_term
+    return wa**2 * (wbt**2 + 4.0 * d * wbt) - 4.0 * gt**2 * wa * wbt

@@ -44,8 +44,8 @@ __all__ = [
 
 def _validate_probe(omega) -> None:
     arr = np.asarray(omega)
-    if not np.all(arr > 0):
-        raise ValueError("probe frequencies must be positive")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("probe frequencies must be finite and positive")
 
 
 def s11(params: ModelParams, omega):

@@ -12,6 +12,7 @@ scattering matrix on the real axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class QuadratureSpec:
     psi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError(f"probe frequency must be positive, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"probe frequency must be finite and positive, got {self.omega}")
 
 
 def dispersive_output_coefficient(params: ModelParams, omega: float) -> complex:
@@ -51,8 +52,8 @@ def dispersive_output_coefficient(params: ModelParams, omega: float) -> complex:
     complex conjugates on the real axis, so the modulus is exactly one. The
     expression targets omega_b >> omega_a but is well defined generally.
     """
-    if not omega > 0:
-        raise ValueError(f"probe frequency must be positive, got {omega}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"probe frequency must be finite and positive, got {omega}")
     wa, wb, g = params.omega_a, params.omega_b, params.g
     ga = gamma_of(params.bath_a, omega)
     shift = wa * (4.0 * g**2 - wa * wb)

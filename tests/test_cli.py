@@ -34,6 +34,15 @@ class TestCritical:
         assert rc == 2
         assert "sign change" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo, hi", [("0.7", "0.1"), ("-0.6", "0.3")])
+    def test_reversed_or_negative_bracket_is_usage_error(self, lo, hi, tmp_path, capsys):
+        out = tmp_path / "crit.csv"
+        assert run(["critical", "--g-lo", lo, "--g-hi", hi, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0 <= g_lo < g_hi" in captured.err
+        assert not out.exists()
+
 
 class TestEigenCommand:
     def test_example_sweep(self, tmp_path, capsys):
@@ -155,6 +164,14 @@ class TestOtherCommands:
         assert len(lines) == 2 + 64
         values = np.array([float(ln.split(",")[1]) for ln in lines[2:]])
         assert np.max(np.abs(values - 0.5)) < 1e-10
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_squeeze_phi_points_below_one_is_usage_error(self, count, tmp_path, capsys):
+        out = tmp_path / "sq.csv"
+        rc = run(["squeeze", "--omega", "1.0", "--phi-points", count, "-o", str(out)])
+        assert rc == 2
+        assert "--phi-points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_altcoupling(self, capsys):
         rc = run(["altcoupling", "--f-a0", "0.19"])

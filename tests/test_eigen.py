@@ -222,6 +222,11 @@ class TestLocateCritical:
     def test_exact_endpoint(self):
         assert locate_critical(make(), g_lo=0.5, g_hi=1.0) == 0.5
 
+    @pytest.mark.parametrize("lo, hi", [(0.7, 0.1), (-0.6, 0.3), (0.4, 0.4), (1.0, 0.5)])
+    def test_reversed_or_negative_bracket_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="0 <= g_lo < g_hi"):
+            locate_critical(make(), g_lo=lo, g_hi=hi)
+
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 1.0)])
     def test_non_finite_bracket_raises(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):

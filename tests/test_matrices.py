@@ -13,7 +13,6 @@ from opendicke.matrices import (
     m_matrix,
     zeta,
     zeta_constant_term,
-    zeta_np_quartic_coeffs,
     zeta_quartic_coeffs,
 )
 from opendicke.matrices import _det4
@@ -177,30 +176,34 @@ class TestZeta:
 
 class TestQuarticCoefficients:
     def test_plugin_example(self):
-        coeffs = zeta_np_quartic_coeffs(make(g=0.5, ga=0.3, gb=0.2))
+        p = make(g=0.5, ga=0.3, gb=0.2)
+        coeffs = zeta_quartic_coeffs(derive_phase(p), p)
         expected = np.array([1.0, 0.5j, -2.06, -0.5j, 0.0])
         assert np.max(np.abs(coeffs - expected)) < 1e-14
 
     def test_signature_signs_applied(self):
-        coeffs = zeta_np_quartic_coeffs(make(g=0.5, ga=0.3, gb=0.2), FLIP_A)
+        p = make(g=0.5, ga=0.3, gb=0.2)
+        coeffs = zeta_quartic_coeffs(derive_phase(p), p, FLIP_A)
         expected = np.array([1.0, -0.1j, -(2.0 - 0.06), -1j * (0.2 - 0.3), 0.0])
         assert np.max(np.abs(coeffs - expected)) < 1e-14
 
     def test_decoupled_product_oracle(self):
         p = make(omega_a=1.1, omega_b=0.8, ga=0.3, gb=0.2)
-        coeffs = zeta_np_quartic_coeffs(p)
+        coeffs = zeta_quartic_coeffs(derive_phase(p), p)
         oracle = np.polymul([1.0, 0.3j, -(1.1**2)], [1.0, 0.2j, -(0.8**2)])
         assert np.max(np.abs(coeffs - oracle)) < 1e-14
 
     def test_lossless_biquadratic(self):
-        coeffs = zeta_np_quartic_coeffs(make(omega_a=1.2, g=0.4))
+        p = make(omega_a=1.2, g=0.4)
+        coeffs = zeta_quartic_coeffs(derive_phase(p), p)
         assert coeffs[1] == 0.0 and coeffs[3] == 0.0
         assert abs(coeffs[2] + (1.2**2 + 1.0)) < 1e-14
         assert abs(coeffs[4] - (1.2**2 - 4 * 0.16 * 1.2)) < 1e-14
 
     def test_rejects_nonohmic(self):
         with pytest.raises(ValueError):
-            zeta_np_quartic_coeffs(make(g=0.2, ga=0.1, sa=0.5))
+            p = make(g=0.2, ga=0.1, sa=0.5)
+            zeta_quartic_coeffs(derive_phase(p), p)
         p = make(g=0.9, gb=0.2, sb=-0.5)
         with pytest.raises(ValueError):
             zeta_quartic_coeffs(derive_phase(p), p)
@@ -215,7 +218,7 @@ class TestQuarticCoefficients:
             pd = derive_phase(p)
             w = complex(rng.uniform(-3, 3), rng.uniform(-1, 0.2))
             det_val = zeta(pd, p, w)
-            poly_val = np.polyval(zeta_np_quartic_coeffs(p), w)
+            poly_val = np.polyval(zeta_quartic_coeffs(pd, p), w)
             assert abs(det_val - poly_val) < 1e-10 * max(1.0, abs(poly_val))
 
     def test_superradiant_fit_matches_characteristic_polynomial(self):
@@ -227,6 +230,30 @@ class TestQuarticCoefficients:
         oracle = np.poly(np.linalg.eigvals(a - 0.5j * gam))
         assert np.max(np.abs(coeffs - oracle)) < 1e-10
         assert abs(coeffs[0] - 1.0) < 1e-12
+
+    def test_superradiant_matches_numpy_determinant_every_signature(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            wa, wb = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            g = rng.uniform(1.01, 2.0) * 0.5 * np.sqrt(wa * wb)
+            p = make(omega_a=wa, omega_b=wb, g=g, ga=rng.uniform(0, 0.5), gb=rng.uniform(0, 0.5))
+            pd = derive_phase(p)
+            assert pd.phase is Phase.SUPERRADIANT
+            w = complex(rng.uniform(-3, 3), rng.uniform(-1, 0.2))
+            for sig in (INPUT, FLIP_A, OUTPUT):
+                det_val = np.linalg.det(m_matrix(pd, p, w, sig))
+                poly_val = np.polyval(zeta_quartic_coeffs(pd, p, sig), w)
+                assert abs(det_val - poly_val) <= 1e-12 * max(1.0, abs(det_val))
+
+    def test_constant_coefficient_is_the_constant_term(self):
+        phases = set()
+        for g in (0.2, 0.5, 0.8, 1.2):
+            p = make(g=g, ga=0.3, gb=0.2)
+            pd = derive_phase(p)
+            phases.add(pd.phase)
+            for sig in (INPUT, FLIP_A, OUTPUT):
+                assert zeta_quartic_coeffs(pd, p, sig)[-1] == zeta_constant_term(pd, p)
+        assert phases == set(Phase)
 
     def test_superradiant_constant_term_positive(self):
         for g in (0.55, 0.8, 1.2):

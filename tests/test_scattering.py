@@ -67,6 +67,13 @@ class TestS11:
         with pytest.raises(ValueError):
             s11(make(ga=0.1), np.array([0.5, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_probe(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            s11(make(ga=0.1), np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            s_matrix(make(ga=0.1, gb=0.2), bad)
+
     def test_denominator_vanishes_at_eigenfrequencies(self):
         rng = np.random.default_rng(31)
         for _ in range(40):

@@ -45,6 +45,11 @@ class TestDispersiveCoefficient:
         with pytest.raises(ValueError):
             dispersive_output_coefficient(make(ga=0.1), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_probe(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dispersive_output_coefficient(make(ga=0.1), bad)
+
 
 class TestSingleModeVariance:
     def test_vacuum_value_plugins(self):
@@ -65,6 +70,11 @@ class TestSingleModeVariance:
     def test_requires_positive_probe(self):
         with pytest.raises(ValueError):
             QuadratureSpec(omega=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_requires_finite_probe(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(omega=bad)
 
 
 class TestTwoModeVariance:
