@@ -22,7 +22,7 @@ with gamma_j = gamma_j(omega) carrying the signature signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,12 +78,22 @@ class BogoliubovSystem:
     """Phase-resolved system: the 4x4 dynamical matrix plus the effective
     per-port bath laws. The matter-port bath already carries the saturation
     replacement gamma0_b -> 4 gamma0_b / (lam + 1)^2 in the superradiant
-    phase, so consumers never special-case the phase again."""
+    phase, so consumers never special-case the phase again.
+
+    a_entries holds the four real entries A[0, 0], A[0, 2], A[2, 2] and
+    A[2, 3] that fix A, read once here rather than on every zeta call
+    (dataclasses.replace rebuilds it for each stepped system)."""
 
     phase: Phase
     a_matrix: np.ndarray
     bath_a: BathSpec
     bath_b: BathSpec
+    a_entries: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a = self.a_matrix
+        entries = tuple(float(a[i, j].real) for i, j in ((0, 0), (0, 2), (2, 2), (2, 3)))
+        object.__setattr__(self, "a_entries", entries)
 
 
 def build_a_matrix(phase_data: PhaseData, params: ModelParams) -> np.ndarray:
@@ -184,7 +194,6 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
     directly; this keeps the constant term meaningful for subohmic baths
     whose gamma diverges at the origin.
     """
-    a = system.a_matrix
     if not isinstance(omega, np.ndarray) and omega == 0:
         ga = gb = 0.0
     else:
@@ -192,8 +201,7 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
         gb = signature.sign_b * gamma_of(system.bath_b, omega)
     ha = -0.5j * ga
     hb = -0.5j * gb
-    a00, a02 = float(a[0, 0].real), float(a[0, 2].real)
-    a22, a23 = float(a[2, 2].real), float(a[2, 3].real)
+    a00, a02, a22, a23 = system.a_entries
     # Row pattern of M: diagonal picks up (h - omega), the partner column in
     # the same port block picks up -h, cross-port entries are bare A entries.
     m = (

@@ -222,11 +222,12 @@ def bath_condensate_density(params: ModelParams, port: str, omega: float) -> flo
     The condensate leaks into the bath continuum as
     sigma_j(omega)/N = (2 gamma_j(omega) / pi) (condensate_j/N) / (omega omega_j)
     with condensate_a = alpha and condensate_b = beta; it vanishes in the
-    normal phase. Requires omega > 0 (for s < 0 the pointwise density
-    diverges toward omega = 0 but is finite at any positive frequency).
+    normal phase. Requires a finite omega > 0 (for s < 0 the pointwise
+    density diverges toward omega = 0 but is finite at any positive
+    frequency).
     """
-    if not omega > 0:
-        raise ValueError(f"bath density requires omega > 0, got {omega}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"bath density requires a finite omega > 0, got {omega}")
     alpha, beta = condensates(params)
     if port == "a":
         bath, cond, w_port = params.bath_a, alpha, params.omega_a

@@ -32,7 +32,7 @@ __all__ = [
 class QuadratureSpec:
     """Probe frequency plus the three angles of the measured quadrature:
     phi rotates the quadrature, theta mixes the two output ports, psi is
-    their relative phase. Angles are taken modulo 2 pi."""
+    their relative phase. Angles are taken modulo 2 pi and must be finite."""
 
     omega: float
     phi: float = 0.0
@@ -42,6 +42,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"probe frequency must be finite and positive, got {self.omega}")
+        for name in ("phi", "theta", "psi"):
+            angle = getattr(self, name)
+            if not math.isfinite(angle):
+                raise ValueError(f"quadrature angle {name} must be finite, got {angle}")
 
 
 def dispersive_output_coefficient(params: ModelParams, omega: float) -> complex:

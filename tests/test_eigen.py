@@ -365,6 +365,58 @@ class TestNewtonExits:
         assert _newton(lambda y: y + 5e-11, 1.0, axis=True) == 0.0
 
 
+class TestNewtonEvaluations:
+    """Each iterate's residual is evaluated once and carried forward."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(y):
+            calls.append(y)
+            return f(y)
+
+        return g, calls
+
+    @pytest.mark.parametrize("k", [1, 2, 5, eigen_mod.NEWTON_MAXIT])
+    def test_k_iterations_without_backtracking_cost_1_plus_3k(self, k, monkeypatch):
+        # exp(-y) has no root and every step (+1) lowers |f|: the run ends
+        # after exactly NEWTON_MAXIT iterations and never backtracks.
+        monkeypatch.setattr(eigen_mod, "NEWTON_MAXIT", k)
+        f, calls = self.counted(lambda y: math.exp(-y))
+        with pytest.raises(ConvergenceError, match="iteration budget") as exc:
+            _newton(f, 1.0, axis=True)
+        assert len(calls) == 1 + 3 * k
+        y = -exc.value.last_iterate.imag
+        assert abs(y - (1.0 + k)) < 1e-6
+        assert exc.value.residual == math.exp(-y)  # the carried residual is f(x)
+
+    @pytest.mark.parametrize("halvings", range(6))
+    def test_each_halving_costs_one_evaluation(self, halvings, monkeypatch):
+        # exp(-y) up to y = 1 + 1.5 / 2**halvings, a wall beyond: from y = 1
+        # the full step (to about 2) is halved until it lands before the wall.
+        monkeypatch.setattr(eigen_mod, "NEWTON_MAXIT", 1)
+        wall = 1.0 + 1.5 * 0.5**halvings
+        f, calls = self.counted(lambda y: math.exp(-y) if y <= wall else 10.0)
+        with pytest.raises(ConvergenceError, match="iteration budget") as exc:
+            _newton(f, 1.0, axis=True)
+        assert len(calls) == 1 + 3 + halvings
+        y = -exc.value.last_iterate.imag
+        assert abs(y - (1.0 + 0.5**halvings)) < 1e-6
+        assert exc.value.residual == math.exp(-y)
+
+    def test_converging_run_reuses_the_accepted_residual(self):
+        # Newton on y^2 - 4 from y = 3 (six iterations): after the start,
+        # each iteration evaluates only the two difference points around
+        # the current iterate and the next iterate.
+        f, calls = self.counted(lambda y: y * y - 4.0)
+        assert abs(_newton(f, 3.0, axis=True) - 2.0) < 1e-12
+        assert len(calls) == 1 + 3 * 6
+        iterates = calls[0::3]
+        for j, x in enumerate(iterates[:-1]):
+            assert calls[3 * j + 1] - x == pytest.approx(x - calls[3 * j + 2], rel=1e-6)
+
+
 class TestGapEdgeContinuation:
     def test_axis_pair_is_chased_off_the_axis(self, monkeypatch):
         # Near the ohmic gap edge g = 0.4925 the on-axis pair annihilates

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from opendicke.model import Phase, PhaseData, derive_phase
+from opendicke.model import BathSpec, Phase, PhaseData, derive_phase
 from opendicke.model import _superradiant_fields
 from opendicke.matrices import (
     FLIP_A,
     INPUT,
     OUTPUT,
+    BogoliubovSystem,
     ZetaSignature,
     build_a_matrix,
     build_gamma,
+    build_system,
     m_matrix,
     zeta,
     zeta_constant_term,
@@ -64,6 +68,46 @@ class TestAMatrix:
         a_sp = build_a_matrix(pd_sp, p)
         a_np = build_a_matrix(derive_phase(p), p)
         assert np.max(np.abs(a_sp - a_np)) <= 1e-14
+
+
+class TestSystemEntries:
+    """zeta reads A through the four real entries cached on the system."""
+
+    @staticmethod
+    def expected(system):
+        a = system.a_matrix
+        return tuple(float(a[i, j].real) for i, j in ((0, 0), (0, 2), (2, 2), (2, 3)))
+
+    @pytest.mark.parametrize(
+        "g, phase",
+        [(0.3, Phase.NORMAL), (0.5, Phase.CRITICAL), (0.8, Phase.SUPERRADIANT)],
+    )
+    def test_cached_entries_equal_the_matrix(self, g, phase):
+        p = make(omega_b=1.0, g=g, ga=0.2, gb=0.3, sa=-0.5, sb=0.5)
+        system = build_system(derive_phase(p), p)
+        assert system.phase is phase
+        assert system.a_entries == self.expected(system)
+        assert all(type(x) is float for x in system.a_entries)
+        if phase is Phase.SUPERRADIANT:
+            assert system.a_entries[2] != 1.0  # renormalized matter frequency
+
+    def test_replace_of_a_bath_rebuilds_the_entries(self):
+        p = make(omega_a=1.3, omega_b=0.7, g=0.9, ga=0.2, gb=0.3, sb=0.5)
+        system = build_system(derive_phase(p), p)
+        stepped = replace(system, bath_b=BathSpec(0.3, 0.25))
+        assert stepped.bath_b.exponent_s == 0.25
+        assert stepped.a_entries == self.expected(stepped) == system.a_entries
+        other = replace(system, a_matrix=2.0 * system.a_matrix)
+        assert other.a_entries == tuple(2.0 * x for x in system.a_entries)
+
+    def test_entries_are_derived_not_passed(self):
+        p = make(g=0.3)
+        system = build_system(derive_phase(p), p)
+        assert "a_entries" not in repr(system)
+        with pytest.raises(TypeError):
+            BogoliubovSystem(
+                system.phase, system.a_matrix, system.bath_a, system.bath_b, (1.0,) * 4
+            )
 
 
 class TestGammaMatrix:

@@ -229,6 +229,13 @@ class TestBathCondensateDensity:
         with pytest.raises(ValueError):
             bath_condensate_density(make(g=2**-0.5, ga=0.1), "c", 1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_frequency(self, bad):
+        # Superohmic port above the transition: inf used to give nan.
+        p = make(g=0.8, ga=0.1, sa=0.5, gb=0.2)
+        with pytest.raises(ValueError, match="finite omega > 0"):
+            bath_condensate_density(p, "a", bad)
+
 
 class TestAltCoupling:
     def test_zero_shift_is_identity(self):

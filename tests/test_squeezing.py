@@ -76,6 +76,12 @@ class TestSingleModeVariance:
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(omega=bad)
 
+    @pytest.mark.parametrize("angle", ["phi", "theta", "psi"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_requires_finite_angles(self, angle, bad):
+        with pytest.raises(ValueError, match=f"angle {angle} must be finite"):
+            QuadratureSpec(omega=1.0, **{angle: bad})
+
 
 class TestTwoModeVariance:
     def test_reduces_to_single_mode(self):
