@@ -37,9 +37,6 @@ from .eigen import (
     closed_eigenfrequencies,
     locate_critical,
     open_eigenfrequencies,
-    open_eigenfrequencies_companion,
-    open_eigenfrequencies_nonohmic,
-    open_eigenfrequencies_ohmic,
     sweep_eigenfrequencies,
 )
 from .scattering import SpectrumGrid, find_minima, lamb_shift, s11, s_matrix, sweep_spectrum
@@ -84,9 +81,6 @@ __all__ = [
     "locate_critical",
     "m_matrix",
     "open_eigenfrequencies",
-    "open_eigenfrequencies_companion",
-    "open_eigenfrequencies_nonohmic",
-    "open_eigenfrequencies_ohmic",
     "quadrature_variance",
     "s11",
     "s_matrix",

@@ -42,7 +42,7 @@ from .eigen import (
     sweep_point,
 )
 from .fanout import fan_out
-from .scattering import sweep_spectrum
+from .scattering import resolve_point, sweep_spectrum
 from .squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
 PARALLEL_ENV = "DICKE_PARALLEL"
@@ -84,11 +84,21 @@ def _parse_grid(text: str, name: str, default_points: int) -> tuple[str, np.ndar
     return parts[0], _parse_range(text, name, parts[1:], default_points)
 
 
-def _parse_sweep(text: str, allowed: tuple[str, ...]) -> SweepSpec:
+def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> SweepSpec:
+    """The sweep grid, every value checked by building its model point with
+    point(axis, value), so a grid that leaves the model's domain is a usage
+    error before any work starts."""
     axis, values = _parse_grid(text, "sweep", 400)
     axis = axis.replace("-", "_")
     if axis not in allowed:
         raise UsageError(f"sweep axis must be one of {allowed}, got {axis!r}")
+    for value in values:
+        try:
+            point(axis, float(value))
+        except ValueError as exc:
+            raise UsageError(
+                f"--sweep {text!r} leaves the model's domain at {axis} = {float(value)}: {exc}"
+            ) from exc
     return SweepSpec(axis, values)
 
 
@@ -162,7 +172,7 @@ def _eigen_point(args) -> object:
 def _cmd_eigen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    sweep = _parse_sweep(args.sweep, ("g", "omega_b"))
+    sweep = _parse_sweep(args.sweep, ("g", "omega_b"), lambda axis, v: replace(params, **{axis: v}))
     workers = _workers(args)
     tasks = [(params, sweep.axis, float(v)) for v in sweep.values]
     eigensets = list(fan_out(_eigen_point, tasks, workers, chunksize=16))
@@ -207,7 +217,11 @@ def _eigen_json(table: BranchTable) -> str:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    sweep = _parse_sweep(args.sweep, ("g", "ratio"))
+    sweep = _parse_sweep(
+        args.sweep,
+        ("g", "ratio"),
+        lambda axis, v: resolve_point(params, axis, v, args.linear_gamma_b),
+    )
     probe = _parse_probe(args.probe)
     workers = _workers(args)
     grid = sweep_spectrum(
@@ -364,15 +378,25 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s-b", type=float, default=0.0, help="port-b bath exponent")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default: str | None) -> None:
-    parser.add_argument("-o", "--output", default=default, help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        help=f"worker count for grid evaluation and formatting (default ${PARALLEL_ENV} or 1)",
-    )
+def _add_output_flags(
+    parser: argparse.ArgumentParser,
+    default: str | None,
+    fixed_format: str | None = None,
+    parallel: bool = False,
+) -> None:
+    """-o on every command; --format unless the command writes one
+    fixed_format; --parallel on the commands that fan work out."""
+    written_as = "" if fixed_format is None else f", written as {fixed_format}"
+    parser.add_argument("-o", "--output", default=default, help="output file path" + written_as)
+    if fixed_format is None:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if parallel:
+        parser.add_argument(
+            "--parallel",
+            type=int,
+            default=None,
+            help=f"worker count for grid evaluation and formatting (default ${PARALLEL_ENV} or 1)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="sweep the open-system complex eigenfrequencies")
     _add_param_flags(p)
     p.add_argument("--sweep", required=True, help="axis:start:stop[:points], axis g or omega_b")
-    _add_output_flags(p, "eigen.csv")
+    _add_output_flags(p, "eigen.csv", parallel=True)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("spectrum", help="sweep the port-a reflection spectrum")
@@ -402,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the phase label to every CSV row",
     )
-    _add_output_flags(p, "spectrum.csv")
+    _add_output_flags(p, "spectrum.csv", parallel=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("condensates", help="phase data and macroscopic occupations")
@@ -415,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--g-lo", type=_finite, default=0.0, help="lower bisection bracket")
     p.add_argument("--g-hi", type=_finite, default=None, help="upper bisection bracket")
-    _add_output_flags(p, None)
+    _add_output_flags(p, None, fixed_format="CSV")
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("squeeze", help="output-quadrature vacuum variance over a phi grid")
@@ -431,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--f-a0", type=_finite, default=0.0, help="port-a static coupling weight")
     p.add_argument("--f-b0", type=_finite, default=0.0, help="port-b static coupling weight")
-    _add_output_flags(p, None)
+    _add_output_flags(p, None, fixed_format="JSON")
     p.set_defaults(func=_cmd_altcoupling)
     return parser
 

@@ -1,12 +1,13 @@
 """Closed and open excitation spectra.
 
-Ohmic baths make A - i Gamma / 2 a constant matrix, so its four eigenvalues
-are the open-system eigenfrequencies directly. Non-ohmic baths turn
-zeta(omega) = 0 into a transcendental problem, solved here by continuation in
-the bath exponent: start from the ohmic roots at s = 0 and walk s toward its
-target in capped increments, polishing every root at each step with one
-damped Newton (`_newton`): in the complex plane, or for a purely damped
-pair in the real rate y of zeta(-i y) = 0.
+One solver, `open_eigenfrequencies`, covers every bath. It starts from the
+four eigenvalues of the constant matrix A - i Gamma(1) / 2, which are the
+open-system eigenfrequencies outright when both baths are ohmic (s = 0).
+Otherwise zeta(omega) = 0 is transcendental, and the solver continues those
+roots in the bath exponent: it walks s from 0 toward its target in capped
+increments, polishing every root at each step with one damped Newton
+(`_newton`): in the complex plane, or for a purely damped pair in the real
+rate y of zeta(-i y) = 0.
 
 All physical roots live in the closed lower half plane (causality). Between
 the phases a gap can open where the lower root pair collapses onto the
@@ -29,7 +30,6 @@ from .matrices import (
     build_system,
     zeta_constant_term,
     zeta_from_system,
-    zeta_quartic_coeffs,
 )
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "BranchTable",
     "closed_eigenfrequencies",
     "open_eigenfrequencies",
-    "open_eigenfrequencies_ohmic",
-    "open_eigenfrequencies_nonohmic",
-    "open_eigenfrequencies_companion",
     "locate_critical",
     "sweep_eigenfrequencies",
 ]
@@ -162,33 +159,11 @@ def _label_roots(roots) -> EigenSet:
     )
 
 
-def _require_ohmic(params: ModelParams) -> None:
-    if params.bath_a.exponent_s != 0.0 or params.bath_b.exponent_s != 0.0:
-        raise ValueError("this solver requires ohmic baths (s = 0 on both ports)")
-
-
 def _ohmic_roots(pd: PhaseData, params: ModelParams, system: BogoliubovSystem) -> np.ndarray:
     """Eigenvalues of A - i Gamma(1) / 2. Gamma(1) holds the amplitudes
     gamma0 exactly for every exponent (gamma0 * 1.0**s == gamma0), so this
     is the ohmic spectrum at the same amplitudes."""
     return np.linalg.eigvals(system.a_matrix - 0.5j * build_gamma(pd, params, 1.0, INPUT))
-
-
-def open_eigenfrequencies_ohmic(params: ModelParams) -> EigenSet:
-    """Eigenfrequencies for constant damping rates: the four eigenvalues of
-    the constant matrix A - i Gamma / 2 in the phase-appropriate form."""
-    _require_ohmic(params)
-    pd = derive_phase(params)
-    return _label_roots(_ohmic_roots(pd, params, build_system(pd, params)))
-
-
-def open_eigenfrequencies_companion(params: ModelParams) -> EigenSet:
-    """Same spectrum through the other ohmic route: roots of the explicit
-    quartic via its companion matrix. Kept as an independent cross-check of
-    the direct eigensolve."""
-    _require_ohmic(params)
-    pd = derive_phase(params)
-    return _label_roots(np.roots(zeta_quartic_coeffs(pd, params, INPUT)))
 
 
 AXIS_SWITCH = 1e-8  # |Re| below which the continuation treats a root as on-axis
@@ -334,11 +309,12 @@ def _advance_pairs(system: BogoliubovSystem, state, const: float, subohmic: bool
     return new_state
 
 
-def open_eigenfrequencies_nonohmic(params: ModelParams) -> EigenSet:
-    """Eigenfrequencies for power-law baths by continuation in the exponent.
+def open_eigenfrequencies(params: ModelParams) -> EigenSet:
+    """The four complex eigenfrequencies for any admissible bath.
 
-    The ohmic spectrum at the same amplitudes seeds the homotopy; the
-    exponents then move toward their targets in steps of at most
+    The eigenvalues of A - i Gamma / 2 at the same amplitudes with s = 0
+    are the answer for ohmic baths and the seed of a homotopy otherwise:
+    the exponents move toward their targets in steps of at most
     EXPONENT_STEP, every root Newton-polished at each step (purely damped
     pairs through the real on-axis equation, the rest in the complex plane).
     A failing step is halved and retried, up to MAX_HALVINGS times.
@@ -346,12 +322,11 @@ def open_eigenfrequencies_nonohmic(params: ModelParams) -> EigenSet:
     pd = derive_phase(params)
     system = build_system(pd, params)
     sa, sb = system.bath_a.exponent_s, system.bath_b.exponent_s
-    roots = [complex(z) for z in _ohmic_roots(pd, params, system)]
-    const = zeta_constant_term(pd, params)
-
+    roots = _ohmic_roots(pd, params, system)
     s_max = max(abs(sa), abs(sb))
     if s_max == 0.0:
         return _label_roots(roots)
+    const = zeta_constant_term(pd, params)
     state = _classify_pairs(roots)
     dt_init = min(1.0, EXPONENT_STEP / s_max)
     t, dt = 0.0, dt_init
@@ -375,14 +350,6 @@ def open_eigenfrequencies_nonohmic(params: ModelParams) -> EigenSet:
         t = t_next
         dt = min(dt_init, 2.0 * dt)
     return _label_roots(_pairs_to_roots(state))
-
-
-def open_eigenfrequencies(params: ModelParams) -> EigenSet:
-    """Dispatch on the bath exponents: direct eigensolve when both are
-    ohmic, exponent continuation otherwise."""
-    if params.bath_a.exponent_s == 0.0 and params.bath_b.exponent_s == 0.0:
-        return open_eigenfrequencies_ohmic(params)
-    return open_eigenfrequencies_nonohmic(params)
 
 
 def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None = None) -> float:

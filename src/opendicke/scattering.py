@@ -194,9 +194,10 @@ def _json_block(values) -> str:
     return json.dumps(np.abs(values).ravel().tolist(), separators=(",", ":"))[1:-1]
 
 
-def _resolve_point(
+def resolve_point(
     params: ModelParams, axis: str, value: float, linear_gamma_b: bool
 ) -> ModelParams:
+    """The model point of one spectrum sweep value (see sweep_spectrum)."""
     if axis == "g":
         return replace(params, g=value)
     omega_b = value * params.omega_a
@@ -208,7 +209,7 @@ def _resolve_point(
 
 def _spectrum_row(args) -> tuple[np.ndarray, str]:
     params, axis, value, probe, linear_gamma_b = args
-    p = _resolve_point(params, axis, value, linear_gamma_b)
+    p = resolve_point(params, axis, value, linear_gamma_b)
     pd = derive_phase(p)
     return _s11_rows(build_system(pd, p), probe), pd.phase.value
 

@@ -44,7 +44,8 @@ from opendicke.matrices import zeta_constant_term
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
 # The README examples, verbatim, plus the two variants the README describes
-# in prose (a non-ohmic eigen sweep and the JSON spectrum).
+# in prose (a non-ohmic eigen sweep and the JSON spectrum), plus the files
+# the examples leave unwritten.
 README_EXAMPLES = {
     "eigen": "eigen --omega-a 1 --omega-b 1 --gamma-a 0.3 --gamma-b 0.2 --sweep g:0:0.7:400",
     "eigen-nonohmic": "eigen --omega-a 1 --omega-b 1 --gamma-a 0.3 --gamma-b 0.2 "
@@ -56,6 +57,15 @@ README_EXAMPLES = {
     "condensates": "condensates --g 0.7071067811865476 --gamma-a 0.1 --omega 1.0",
     "squeeze": "squeeze --g 0.4 --gamma-a 0.1 --gamma-b 0.2 --omega 1.0 -o sq.csv",
     "altcoupling": "altcoupling --f-a0 0.19",
+    # One file per format each command writes.
+    "eigen-json": "eigen --omega-a 1 --omega-b 1 --gamma-a 0.3 --gamma-b 0.2 "
+    "--sweep g:0:0.7:400 --format json -o eigen.json",
+    "condensates-csv": "condensates --g 0.7071067811865476 --gamma-a 0.1 --omega 1.0 -o cond.csv",
+    "condensates-json": "condensates --g 0.7071067811865476 --gamma-a 0.1 --omega 1.0 "
+    "--format json -o cond.json",
+    "squeeze-json": "squeeze --g 0.4 --gamma-a 0.1 --gamma-b 0.2 --omega 1.0 --format json -o sq.json",
+    "critical-file": "critical --omega-a 1 --omega-b 1 --gamma-a 0.5 --s-a -0.5 -o c.csv",
+    "altcoupling-file": "altcoupling --f-a0 0.19 -o alt.json",
 }
 
 SUMMARY_TIME = re.compile(r"^(wrote .*) in \d+\.\d\d s$", re.MULTILINE)

@@ -14,7 +14,6 @@ from opendicke.eigen import (
     closed_eigenfrequencies,
     locate_critical,
     open_eigenfrequencies,
-    open_eigenfrequencies_ohmic,
 )
 from opendicke.scattering import find_minima, lamb_shift, s11
 from opendicke.squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
@@ -57,7 +56,7 @@ def test_criterion_03_gap_region():
     template = make(ga=0.3, gb=0.2)
     flags, res, ims = [], [], []
     for g in grid:
-        es = open_eigenfrequencies_ohmic(make(g=g, ga=0.3, gb=0.2))
+        es = open_eigenfrequencies(make(g=g, ga=0.3, gb=0.2))
         flags.append(es.gap)
         if es.gap:
             pair = es.lower_pair
@@ -71,7 +70,7 @@ def test_criterion_03_gap_region():
     im_ok = all(a < 0 and b < 0 and a != b for a, b in ims)
     # The softening branch vanishes at g = 0.5 approached from either phase.
     closing = all(
-        abs(open_eigenfrequencies_ohmic(make(g=g, ga=0.3, gb=0.2)).lower.imag) < 1e-6
+        abs(open_eigenfrequencies(make(g=g, ga=0.3, gb=0.2)).lower.imag) < 1e-6
         for g in (0.5 - 1e-9, 0.5 + 1e-9)
     )
     ok = contains and re_ok and im_ok and closing
@@ -85,7 +84,7 @@ def test_criterion_03_gap_region():
 
 def test_criterion_04_decoupled_oracle():
     oracle = math.sqrt(1.0 - 0.3**2 / 4.0) - 0.15j
-    es = open_eigenfrequencies_ohmic(make(g=0.0, ga=0.3))
+    es = open_eigenfrequencies(make(g=0.0, ga=0.3))
     err = min(abs(z - oracle) for z in es.roots)
     report(4, "decoupled damped root against the quadratic formula", err < 1e-9,
            f"|root - {oracle:.6f}| = {err:.1e}")

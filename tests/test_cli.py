@@ -173,11 +173,14 @@ class TestOtherCommands:
         assert "--phi-points must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_altcoupling(self, capsys):
-        rc = run(["altcoupling", "--f-a0", "0.19"])
+    def test_altcoupling(self, tmp_path, capsys):
+        path = tmp_path / "alt.csv"
+        rc = run(["altcoupling", "--f-a0", "0.19", "-o", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "g_c_prime: 0.474341649" in out
+        # The file is JSON whatever its name.
+        assert json.loads(path.read_text())["g_c_prime"] == 0.4743416490252569
         rc = run(["altcoupling", "--f-a0", "1.5"])
         assert rc == 0
         assert "abnormal_a: True" in capsys.readouterr().out
@@ -188,6 +191,36 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             run(["critical", "--bogus", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--format", "json"],
+        ["critical", "--parallel", "2"],
+        ["altcoupling", "--format", "csv"],
+        ["altcoupling", "--parallel", "2"],
+        ["squeeze", "--omega", "1", "--parallel", "2"],
+        ["condensates", "--parallel", "2"],
+    ])
+    def test_flag_the_command_ignores_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["-o", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--sweep", "g:-0.2:0.3:5"],
+        ["eigen", "--sweep", "omega_b:0:1:5"],
+        ["spectrum", "--sweep", "ratio:-1:1:5", "--probe", "0.1:1:5"],
+        ["spectrum", "--sweep", "g:-1:1:5", "--probe", "0.1:1:5"],
+    ])
+    def test_sweep_outside_the_domain_is_usage_error(self, argv, workers, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--parallel", workers, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--sweep" in err and "domain" in err
+        assert not out.exists()
 
     def test_bad_sweep_axis(self, capsys):
         assert run(["eigen", "--sweep", "ratio:0:1:10"]) == 2
