@@ -42,7 +42,8 @@ from .eigen import (
     sweep_point,
 )
 from .fanout import fan_out
-from .scattering import resolve_point, sweep_spectrum
+# bench/tracer.py wraps cli.sweep_spectrum, so the name stays importable here.
+from .scattering import resolve_point, sweep_spectrum, write_spectrum  # noqa: F401
 from .squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
 PARALLEL_ENV = "DICKE_PARALLEL"
@@ -217,30 +218,31 @@ def _eigen_json(table: BranchTable) -> str:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
+    if args.include_phase_labels and args.format == "json":
+        raise UsageError("--include-phase-labels needs --format csv; JSON has phase_labels")
     sweep = _parse_sweep(
         args.sweep,
         ("g", "ratio"),
         lambda axis, v: resolve_point(params, axis, v, args.linear_gamma_b),
     )
+    if args.linear_gamma_b and sweep.axis != "ratio":
+        raise UsageError(f"--linear-gamma-b needs a ratio --sweep, got axis {sweep.axis!r}")
     probe = _parse_probe(args.probe)
     workers = _workers(args)
-    grid = sweep_spectrum(
-        params,
-        sweep.axis,
-        sweep.values,
-        probe,
-        linear_gamma_b=args.linear_gamma_b,
-        workers=workers,
+    _atomic_write(
+        args.output,
+        writer=lambda handle: write_spectrum(
+            handle,
+            args.format,
+            params,
+            sweep.axis,
+            sweep.values,
+            probe,
+            linear_gamma_b=args.linear_gamma_b,
+            include_phase=args.include_phase_labels,
+            workers=workers,
+        ),
     )
-    if args.format == "json":
-        _atomic_write(args.output, grid.to_json(workers=workers) + "\n")
-    else:
-        _atomic_write(
-            args.output,
-            writer=lambda handle: grid.to_csv(
-                handle, include_phase=args.include_phase_labels, workers=workers
-            ),
-        )
     _summary(args.output, sweep.values.size, probe.size, t0)
     return 0
 
@@ -389,14 +391,12 @@ def _add_output_flags(
     written_as = "" if fixed_format is None else f", written as {fixed_format}"
     parser.add_argument("-o", "--output", default=default, help="output file path" + written_as)
     if fixed_format is None:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        # A command without a default file takes --format only with -o (see main).
+        default_format = None if default is None else "csv"
+        parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     if parallel:
-        parser.add_argument(
-            "--parallel",
-            type=int,
-            default=None,
-            help=f"worker count for grid evaluation and formatting (default ${PARALLEL_ENV} or 1)",
-        )
+        help_text = f"worker process count (default ${PARALLEL_ENV} or 1)"
+        parser.add_argument("--parallel", type=int, default=None, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,16 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--sweep", required=True, help="axis:start:stop[:points], axis g or ratio")
     p.add_argument("--probe", required=True, help="start:stop[:points], probe frequencies > 0")
-    p.add_argument(
-        "--linear-gamma-b",
-        action="store_true",
-        help="scale gamma_b proportionally to omega_b along a ratio sweep",
-    )
-    p.add_argument(
-        "--include-phase-labels",
-        action="store_true",
-        help="append the phase label to every CSV row",
-    )
+    p.add_argument("--linear-gamma-b", action="store_true", help="scale gamma_b with a ratio sweep")
+    p.add_argument("--include-phase-labels", action="store_true", help="add a CSV phase column")
     _add_output_flags(p, "spectrum.csv", parallel=True)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -464,6 +456,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output is None and getattr(args, "format", None):
+            raise UsageError(f"--format needs -o: {args.command} writes no file without it")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

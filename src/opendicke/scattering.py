@@ -14,6 +14,7 @@ a two-route consistency check.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 
@@ -37,6 +38,7 @@ __all__ = [
     "s11",
     "s_matrix",
     "sweep_spectrum",
+    "write_spectrum",
     "find_minima",
     "lamb_shift",
 ]
@@ -112,7 +114,7 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     return out
 
 
-# Rows per formatting task: small enough to balance two workers on a
+# Sweep values per pool task: small enough to balance two workers on a
 # 400-row grid, large enough that a task's text dwarfs its pickling.
 FORMAT_ROWS = 8
 
@@ -128,54 +130,52 @@ class SpectrumGrid:
     values: np.ndarray
     phase_labels: tuple[str, ...]
 
-    def to_csv(self, stream, include_phase: bool = False, workers: int = 1) -> None:
+    def to_csv(self, stream, include_phase: bool = False) -> None:
         """Rows of (sweep_value, omega, re, im, abs) behind '#' metadata
-        headers; 12 significant digits throughout. Blocks of rows are
-        formatted by up to `workers` processes and written in order as they
-        arrive; the bytes do not depend on the worker count."""
-        sv, pf = self.sweep_values, self.probe_frequencies
-        stream.write(
-            f"# axis={self.axis} sweep={sv[0]:.11e}:{sv[-1]:.11e}:{sv.size}"
-            f" probe={pf[0]:.11e}:{pf[-1]:.11e}:{pf.size}\n"
-        )
-        cols = "sweep_value,omega,re_s11,im_s11,abs_s11"
-        stream.write(f"# columns: {cols},phase\n" if include_phase else f"# columns: {cols}\n")
-        blocks = [
-            (
-                sv[i : i + FORMAT_ROWS],
-                self.phase_labels[i : i + FORMAT_ROWS] if include_phase else None,
-                pf,
-                self.values[i : i + FORMAT_ROWS],
-            )
-            for i in range(0, sv.size, FORMAT_ROWS)
-        ]
-        for text in fan_out(_csv_block, blocks, workers):
-            stream.write(text)
+        headers; 12 significant digits throughout."""
+        self._write(stream, "csv", include_phase)
 
-    def to_json(self, workers: int = 1) -> str:
+    def to_json(self) -> str:
         """Single document with the magnitude grid flattened row-major.
-        Floats use the shortest round-trip repr of json.dumps, and blocks of
-        rows are encoded by up to `workers` processes."""
-        head = json.dumps(
-            {
-                "axis": self.axis,
-                "sweep_values": [float(v) for v in self.sweep_values],
-                "probe_frequencies": [float(w) for w in self.probe_frequencies],
-            },
-            separators=(",", ":"),
+        Floats use the shortest round-trip repr of json.dumps."""
+        out = io.StringIO()
+        self._write(out, "json", False)
+        return out.getvalue()
+
+    def _write(self, stream, fmt: str, include_phase: bool) -> None:
+        sv, pf, labels = self.sweep_values, self.probe_frequencies, self.phase_labels
+        rows = [slice(i, i + FORMAT_ROWS) for i in range(0, sv.size, FORMAT_ROWS)]
+        blocks = (
+            (_format_block(fmt, include_phase, sv[r], pf, self.values[r], labels[r]), labels[r])
+            for r in rows
         )
-        labels = json.dumps(list(self.phase_labels), separators=(",", ":"))
-        blocks = [self.values[i : i + FORMAT_ROWS] for i in range(0, len(self.values), FORMAT_ROWS)]
-        parts = list(fan_out(_json_block, blocks, workers))
-        # Splicing head and tail onto the end blocks keeps the peak at two
-        # copies of the abs_s11 text: the blocks and the document.
-        parts[0] = f'{head[:-1]},"abs_s11":[{parts[0]}'
-        parts[-1] = f'{parts[-1]}],"phase_labels":{labels}}}'
-        return ",".join(parts)
+        _write_grid(stream, fmt, self.axis, sv, pf, include_phase, blocks)
 
 
-def _csv_block(block) -> str:
-    sweep, labels, probe, values = block
+def _write_grid(stream, fmt: str, axis: str, sv, pf, include_phase: bool, blocks) -> None:
+    """Header, each (text, labels) block's text in order, then JSON's labels."""
+    if fmt == "json":
+        head = {"axis": axis, "sweep_values": sv.tolist(), "probe_frequencies": pf.tolist()}
+        stream.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"abs_s11":[')
+    else:
+        phase = ",phase" if include_phase else ""
+        stream.write(
+            f"# axis={axis} sweep={sv[0]:.11e}:{sv[-1]:.11e}:{sv.size}"
+            f" probe={pf[0]:.11e}:{pf[-1]:.11e}:{pf.size}\n"
+            f"# columns: sweep_value,omega,re_s11,im_s11,abs_s11{phase}\n"
+        )
+    all_labels = []
+    for k, (text, labels) in enumerate(blocks):
+        stream.write("," + text if k and fmt == "json" else text)
+        all_labels += labels
+    if fmt == "json":
+        stream.write(f'],"phase_labels":{json.dumps(all_labels, separators=(",", ":"))}}}')
+
+
+def _format_block(fmt: str, include_phase: bool, sweep, probe, values, labels) -> str:
+    if fmt == "json":
+        # The C encoder's float repr and NaN/Infinity spelling, without brackets.
+        return json.dumps(np.abs(values).ravel().tolist(), separators=(",", ":"))[1:-1]
     # One template for the whole block: the probe column is formatted once per
     # block, the sweep value and label once per row, and a single % fills
     # re, im and |S11| of every cell.
@@ -183,15 +183,10 @@ def _csv_block(block) -> str:
     rows = []
     for i, v in enumerate(sweep.tolist()):
         head = "%.11e," % v
-        tail = "\n" if labels is None else f",{labels[i]}\n"
+        tail = f",{labels[i]}\n" if include_phase else "\n"
         rows.append(head + (tail + head).join(cells) + tail)
     nums = np.stack((values.real, values.imag, np.abs(values)), axis=-1)
     return "".join(rows) % tuple(nums.ravel().tolist())
-
-
-def _json_block(values) -> str:
-    # The C encoder's float repr and NaN/Infinity spelling, without brackets.
-    return json.dumps(np.abs(values).ravel().tolist(), separators=(",", ":"))[1:-1]
 
 
 def resolve_point(
@@ -207,11 +202,32 @@ def resolve_point(
     return replace(params, omega_b=omega_b, bath_b=bath_b)
 
 
-def _spectrum_row(args) -> tuple[np.ndarray, str]:
-    params, axis, value, probe, linear_gamma_b = args
-    p = resolve_point(params, axis, value, linear_gamma_b)
-    pd = derive_phase(p)
-    return _s11_rows(build_system(pd, p), probe), pd.phase.value
+def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
+    """S11 rows (as fmt text when fmt is set) and phase labels of a block."""
+    params, axis, sweep, probe, linear_gamma_b, fmt, include_phase = task
+    points = [resolve_point(params, axis, v, linear_gamma_b) for v in sweep.tolist()]
+    phases = [derive_phase(p) for p in points]
+    values = np.vstack([_s11_rows(build_system(pd, p), probe) for pd, p in zip(phases, points)])
+    labels = [pd.phase.value for pd in phases]
+    if fmt is not None:
+        values = _format_block(fmt, include_phase, sweep, probe, values, labels)
+    return values, labels
+
+
+def _computed_blocks(params, axis, sweep, probe, linear_gamma_b, workers, fmt, include_phase):
+    """The checked grids and, lazily and in order, _spectrum_block's results."""
+    if axis not in ("g", "ratio"):
+        raise ValueError(f"spectrum axis must be 'g' or 'ratio', got {axis!r}")
+    sweep = np.asarray(sweep, dtype=float)
+    probe = np.asarray(probe, dtype=float)
+    if sweep.size == 0 or probe.size == 0:
+        raise ValueError("sweep and probe grids must be nonempty")
+    _validate_probe(probe)
+    tasks = [
+        (params, axis, sweep[i : i + FORMAT_ROWS], probe, linear_gamma_b, fmt, include_phase)
+        for i in range(0, sweep.size, FORMAT_ROWS)
+    ]
+    return sweep, probe, fan_out(_spectrum_block, tasks, workers)
 
 
 def sweep_spectrum(
@@ -228,27 +244,43 @@ def sweep_spectrum(
     axis is either 'g' (coupling sweep) or 'ratio' (omega_b / omega_a sweep,
     the experimentally natural knob). With linear_gamma_b the matter damping
     amplitude scales proportionally to omega_b along a ratio sweep. Rows are
-    independent, so workers > 1 fans them out to a process pool; assembly is
-    order preserving either way.
+    independent, so workers > 1 fans blocks of them out to a process pool;
+    assembly is order preserving either way.
     """
-    if axis not in ("g", "ratio"):
-        raise ValueError(f"spectrum axis must be 'g' or 'ratio', got {axis!r}")
-    sweep = np.asarray(sweep_values, dtype=float)
-    probe = np.asarray(probe_frequencies, dtype=float)
-    if sweep.size == 0 or probe.size == 0:
-        raise ValueError("sweep and probe grids must be nonempty")
-    _validate_probe(probe)
-    tasks = [(params, axis, float(v), probe, linear_gamma_b) for v in sweep]
-    rows = list(fan_out(_spectrum_row, tasks, workers, chunksize=8))
-    values = np.vstack([r[0] for r in rows])
-    labels = tuple(r[1] for r in rows)
-    return SpectrumGrid(
-        axis=axis,
-        sweep_values=sweep,
-        probe_frequencies=probe,
-        values=values,
-        phase_labels=labels,
+    sweep, probe, blocks = _computed_blocks(
+        params, axis, sweep_values, probe_frequencies, linear_gamma_b, workers, None, False
     )
+    values = np.empty((sweep.size, probe.size), dtype=complex)
+    labels = []
+    for i, (rows, block_labels) in zip(range(0, sweep.size, FORMAT_ROWS), blocks):
+        values[i : i + FORMAT_ROWS] = rows
+        labels += block_labels
+    return SpectrumGrid(axis, sweep, probe, values, tuple(labels))
+
+
+def write_spectrum(
+    stream,
+    fmt: str,
+    params: ModelParams,
+    axis: str,
+    sweep_values,
+    probe_frequencies,
+    *,
+    linear_gamma_b: bool = False,
+    include_phase: bool = False,
+    workers: int = 1,
+) -> None:
+    """Write sweep_spectrum's grid as fmt 'csv' or 'json': the bytes of
+    to_csv, or of to_json and a newline. Each pool task computes and
+    formats FORMAT_ROWS rows, whose text is written in order as it arrives,
+    so the grid is never held."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"spectrum file format must be 'csv' or 'json', got {fmt!r}")
+    sweep, probe, blocks = _computed_blocks(
+        params, axis, sweep_values, probe_frequencies, linear_gamma_b, workers, fmt, include_phase
+    )
+    _write_grid(stream, fmt, axis, sweep, probe, include_phase, blocks)
+    stream.write("\n" if fmt == "json" else "")
 
 
 def _parabolic_vertex(x, y) -> float:

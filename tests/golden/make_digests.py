@@ -66,6 +66,9 @@ README_EXAMPLES = {
     "squeeze-json": "squeeze --g 0.4 --gamma-a 0.1 --gamma-b 0.2 --omega 1.0 --format json -o sq.json",
     "critical-file": "critical --omega-a 1 --omega-b 1 --gamma-a 0.5 --s-a -0.5 -o c.csv",
     "altcoupling-file": "altcoupling --f-a0 0.19 -o alt.json",
+    # The phase column, on rows that span both phases.
+    "spectrum-phase": "spectrum --g 0.25 --sweep ratio:0.2:2:40 --probe 0.01:1.8:200 "
+    "--include-phase-labels -o spectrum-phase.csv",
 }
 
 SUMMARY_TIME = re.compile(r"^(wrote .*) in \d+\.\d\d s$", re.MULTILINE)

@@ -245,6 +245,38 @@ class TestFailureModes:
         assert run(["eigen", "--sweep", "g:0:0.5:5"]) == 2
         assert cli.PARALLEL_ENV in capsys.readouterr().err
 
+    def test_phase_labels_with_json_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        argv = ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "--format", "json"]
+        assert run(argv + ["--include-phase-labels", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--include-phase-labels" in err and "--format" in err
+        assert not out.exists()
+
+    def test_linear_gamma_b_on_a_g_sweep_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "--linear-gamma-b"]
+        assert run(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--linear-gamma-b" in err and "--sweep" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["condensates"], ["squeeze", "--omega", "1"]])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_without_output_is_usage_error(self, argv, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--format", fmt]) == 2
+        assert "--format needs -o" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["condensates"], ["squeeze", "--omega", "1"]])
+    def test_output_without_format_writes_csv(self, argv, tmp_path):
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        assert run(argv + ["-o", str(a)]) == 0
+        assert run(argv + ["--format", "csv", "-o", str(b)]) == 0
+        assert a.read_text().startswith("# ")
+        assert a.read_bytes() == b.read_bytes()
+
     def test_non_finite_sweep_bound(self, capsys):
         assert run(["spectrum", "--sweep", "g:0.1:inf:3", "--probe", "0.2:1:4"]) == 2
         assert "finite" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 import concurrent.futures
+import io
 
 import numpy as np
 import pytest
 
 import opendicke.cli as cli
 from opendicke.fanout import fan_out
-from opendicke.scattering import sweep_spectrum
+from opendicke.scattering import FORMAT_ROWS, sweep_spectrum, write_spectrum
 
 from conftest import make
 
@@ -58,6 +59,14 @@ class TestPoolSize:
         assert cli.main(argv + ["--format", "json", "-o", str(tmp_path / "s.json")]) == 0
         assert opened == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_opens_one_pool(self, fmt, opened, tmp_path):
+        # Each pool task computes and formats its own rows; no second pool
+        # formats a gathered grid.
+        argv = ["spectrum", "--sweep", "g:0.1:0.5:40", "--probe", "0.2:1.0:4", "--parallel", "2"]
+        assert cli.main(argv + ["--format", fmt, "-o", str(tmp_path / f"s.{fmt}")]) == 0
+        assert opened == [2]
+
     def test_eigen_pool_is_capped(self, opened, tmp_path):
         argv = ["eigen", "--sweep", "g:0:0.3:40", "--parallel", "500"]
         assert cli.main(argv + ["-o", str(tmp_path / "e.csv")]) == 0
@@ -75,3 +84,29 @@ class TestRealPool:
         b = sweep_spectrum(make(ga=0.1, gb=0.1), "g", sweep, probe, workers=2)
         assert np.array_equal(a.values, b.values)
         assert a.phase_labels == b.phase_labels
+
+    def test_streamed_writer_matches_the_gathered_grid(self):
+        # 19 rows are three pool tasks, and the rows span both phases and g_c.
+        params = make(ga=0.1, gb=0.2)
+        sweep, probe = np.linspace(0.1, 0.9, 19), np.linspace(0.1, 1.5, 16)
+        assert -(-sweep.size // FORMAT_ROWS) == 3
+        grid = sweep_spectrum(params, "g", sweep, probe)
+        assert {"normal", "critical", "superradiant"} == set(grid.phase_labels)
+        for include_phase in (False, True):
+            expected = io.StringIO()
+            grid.to_csv(expected, include_phase=include_phase)
+            for workers in (1, 2):
+                out = io.StringIO()
+                write_spectrum(out, "csv", params, "g", sweep, probe,
+                               include_phase=include_phase, workers=workers)
+                assert out.getvalue() == expected.getvalue()
+        for workers in (1, 2):
+            out = io.StringIO()
+            write_spectrum(out, "json", params, "g", sweep, probe, workers=workers)
+            assert out.getvalue() == grid.to_json() + "\n"
+
+    def test_streamed_writer_rejects_an_unknown_format(self):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="'csv' or 'json'"):
+            write_spectrum(out, "xml", make(), "g", [0.1, 0.2], [0.5, 1.0])
+        assert out.getvalue() == ""

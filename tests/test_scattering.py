@@ -332,20 +332,18 @@ class TestBlockFormatters:
         return out.getvalue()
 
     @pytest.mark.parametrize("rows", [2 * FORMAT_ROWS + 3, 1])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_csv_matches_savetxt(self, rows, workers):
+    def test_csv_matches_savetxt(self, rows):
         grid = self._grid(rows)
         for include_phase in (False, True):
             out = io.StringIO()
-            grid.to_csv(out, include_phase=include_phase, workers=workers)
+            grid.to_csv(out, include_phase=include_phase)
             assert out.getvalue() == self._csv_reference(grid, include_phase)
         assert "-0.00000000000e+00,-0.00000000000e+00,0.00000000000e+00" in out.getvalue()
         assert ",nan,5.00000000000e-01,nan," in out.getvalue()
         assert ",-inf,1.00000000000e+00,inf," in out.getvalue()
 
     @pytest.mark.parametrize("rows", [2 * FORMAT_ROWS + 3, 1])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_json_matches_whole_document_dumps(self, rows, workers):
+    def test_json_matches_whole_document_dumps(self, rows):
         grid = self._grid(rows)
         doc = {
             "axis": grid.axis,
@@ -354,7 +352,7 @@ class TestBlockFormatters:
             "abs_s11": [float(x) for x in np.abs(grid.values).ravel()],
             "phase_labels": list(grid.phase_labels),
         }
-        text = grid.to_json(workers=workers)
+        text = grid.to_json()
         assert text == json.dumps(doc, separators=(",", ":"))
         assert '"abs_s11":[0.0,NaN,' in text
         assert ",Infinity,0.25," in text
