@@ -14,14 +14,13 @@ Exit codes: 0 success, 2 invalid usage, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .model import (
     derive_phase,
 )
 from .eigen import (
-    BranchTable,
     ConvergenceError,
     locate_critical,
     open_eigenfrequencies,
@@ -47,16 +45,11 @@ from .scattering import resolve_point, sweep_spectrum, write_spectrum  # noqa: F
 from .squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
 PARALLEL_ENV = "DICKE_PARALLEL"
+EIGEN_BLOCK = 16  # sweep points per eigen pool task
 
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    axis: str
-    values: np.ndarray
 
 
 def _parse_range(text: str, name: str, fields: list[str], default_points: int) -> np.ndarray:
@@ -78,19 +71,15 @@ def _parse_range(text: str, name: str, fields: list[str], default_points: int) -
     return np.linspace(lo, hi, points)
 
 
-def _parse_grid(text: str, name: str, default_points: int) -> tuple[str, np.ndarray]:
+def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> tuple[str, np.ndarray]:
+    """The sweep axis and grid, every value checked by building its model
+    point with point(axis, value), so a grid that leaves the model's domain
+    is a usage error before any work starts."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
-        raise UsageError(f"--{name} expects axis:start:stop[:points], got {text!r}")
-    return parts[0], _parse_range(text, name, parts[1:], default_points)
-
-
-def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> SweepSpec:
-    """The sweep grid, every value checked by building its model point with
-    point(axis, value), so a grid that leaves the model's domain is a usage
-    error before any work starts."""
-    axis, values = _parse_grid(text, "sweep", 400)
-    axis = axis.replace("-", "_")
+        raise UsageError(f"--sweep expects axis:start:stop[:points], got {text!r}")
+    values = _parse_range(text, "sweep", parts[1:], 400)
+    axis = parts[0].replace("-", "_")
     if axis not in allowed:
         raise UsageError(f"sweep axis must be one of {allowed}, got {axis!r}")
     for value in values:
@@ -100,7 +89,7 @@ def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> SweepSpec:
             raise UsageError(
                 f"--sweep {text!r} leaves the model's domain at {axis} = {float(value)}: {exc}"
             ) from exc
-    return SweepSpec(axis, values)
+    return axis, values
 
 
 def _parse_probe(text: str) -> np.ndarray:
@@ -128,27 +117,25 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 
 def _workers(args: argparse.Namespace) -> int:
     if args.parallel is not None:
-        n = args.parallel
+        n, source = args.parallel, "--parallel"
     else:
-        text = os.environ.get(PARALLEL_ENV, "1")
+        text, source = os.environ.get(PARALLEL_ENV, "1"), f"${PARALLEL_ENV}"
         try:
             n = int(text)
         except ValueError as exc:
-            raise UsageError(f"${PARALLEL_ENV} must be an integer, got {text!r}") from exc
+            raise UsageError(f"{source} must be an integer, got {text!r}") from exc
     if n < 1:
-        raise UsageError(f"--parallel must be >= 1, got {n}")
+        raise UsageError(f"{source} must be >= 1, got {n}")
     return n
 
 
-def _atomic_write(path: str, text: str | None = None, writer=None) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call write(handle) on a temp file beside path, then rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opendicke-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            if writer is not None:
-                writer(handle)
-            else:
-                handle.write(text)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -164,46 +151,49 @@ def _summary(path: str, rows: int, cols: int, t0: float) -> None:
     print(f"wrote {path}: {rows} rows x {cols} columns in {time.perf_counter() - t0:.2f} s")
 
 
-def _eigen_point(args) -> object:
-    params, axis, value = args
-    with sweep_point(axis, value):
-        return open_eigenfrequencies(replace(params, **{axis: value}))
+def _save(args: argparse.Namespace, csv: str | None, doc, shape=None, t0: float = 0.0) -> None:
+    """Write a command's dataset to -o, if given: the JSON document with
+    --format json or when the command has no CSV, the CSV text otherwise.
+    With shape = (rows, columns) the `wrote` line follows."""
+    if args.output is None:
+        return
+    text = csv
+    if csv is None or getattr(args, "format", None) == "json":
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+    _atomic_write(args.output, lambda handle: handle.write(text))
+    if shape is not None:
+        _summary(args.output, *shape, t0)
+
+
+def _eigen_block(task) -> list:
+    """Solve a pool task's EIGEN_BLOCK sweep points by cli.open_eigenfrequencies."""
+    params, axis, values = task
+    eigensets = []
+    for value in values:
+        with sweep_point(axis, value):
+            eigensets.append(open_eigenfrequencies(replace(params, **{axis: value})))
+    return eigensets
 
 
 def _cmd_eigen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    sweep = _parse_sweep(args.sweep, ("g", "omega_b"), lambda axis, v: replace(params, **{axis: v}))
+    axis, values = _parse_sweep(args.sweep, ("g", "omega_b"), lambda a, v: replace(params, **{a: v}))
     workers = _workers(args)
-    tasks = [(params, sweep.axis, float(v)) for v in sweep.values]
-    eigensets = list(fan_out(_eigen_point, tasks, workers, chunksize=16))
-    table = sweep_eigenfrequencies(params, sweep.axis, sweep.values, eigensets=eigensets)
-    if args.format == "json":
-        text = _eigen_json(table)
-    else:
-        text = _eigen_csv(table)
-    _atomic_write(args.output, text)
-    _summary(args.output, sweep.values.size, 6, t0)
-    return 0
-
-
-def _eigen_csv(table: BranchTable) -> str:
-    out = io.StringIO()
-    v = table.values
-    out.write(f"# axis={table.axis} sweep={_fmt(v[0])}:{_fmt(v[-1])}:{v.size}\n")
-    out.write(f"# columns: {table.axis},re_lower,im_lower,re_upper,im_upper,gap_flag\n")
-    for i in range(v.size):
-        lo, up = table.lower[i], table.upper[i]
-        out.write(
-            f"{_fmt(v[i])},{_fmt(lo.real)},{_fmt(lo.imag)},"
-            f"{_fmt(up.real)},{_fmt(up.imag)},{int(table.gap[i])}\n"
-        )
-    return out.getvalue()
-
-
-def _eigen_json(table: BranchTable) -> str:
+    tasks = [
+        (params, axis, values[i : i + EIGEN_BLOCK].tolist())
+        for i in range(0, values.size, EIGEN_BLOCK)
+    ]
+    eigensets = [es for block in fan_out(_eigen_block, tasks, workers) for es in block]
+    table = sweep_eigenfrequencies(params, axis, values, eigensets=eigensets)
+    csv = f"# axis={axis} sweep={_fmt(values[0])}:{_fmt(values[-1])}:{values.size}\n"
+    csv += f"# columns: {axis},re_lower,im_lower,re_upper,im_upper,gap_flag\n"
+    csv += "".join(
+        f"{_fmt(v)},{_fmt(lo.real)},{_fmt(lo.imag)},{_fmt(up.real)},{_fmt(up.imag)},{int(gap)}\n"
+        for v, lo, up, gap in zip(table.values, table.lower, table.upper, table.gap)
+    )
     doc = {
-        "axis": table.axis,
+        "axis": axis,
         "values": [float(x) for x in table.values],
         "re_lower": [float(z.real) for z in table.lower],
         "im_lower": [float(z.imag) for z in table.lower],
@@ -212,7 +202,8 @@ def _eigen_json(table: BranchTable) -> str:
         "gap_flag": [bool(b) for b in table.gap],
         "phase_labels": [p.value for p in table.phases],
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    _save(args, csv, doc, (values.size, 6), t0)
+    return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -220,30 +211,30 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if args.include_phase_labels and args.format == "json":
         raise UsageError("--include-phase-labels needs --format csv; JSON has phase_labels")
-    sweep = _parse_sweep(
+    axis, values = _parse_sweep(
         args.sweep,
         ("g", "ratio"),
-        lambda axis, v: resolve_point(params, axis, v, args.linear_gamma_b),
+        lambda a, v: resolve_point(params, a, v, args.linear_gamma_b),
     )
-    if args.linear_gamma_b and sweep.axis != "ratio":
-        raise UsageError(f"--linear-gamma-b needs a ratio --sweep, got axis {sweep.axis!r}")
+    if args.linear_gamma_b and axis != "ratio":
+        raise UsageError(f"--linear-gamma-b needs a ratio --sweep, got axis {axis!r}")
     probe = _parse_probe(args.probe)
     workers = _workers(args)
     _atomic_write(
         args.output,
-        writer=lambda handle: write_spectrum(
+        lambda handle: write_spectrum(
             handle,
             args.format,
             params,
-            sweep.axis,
-            sweep.values,
+            axis,
+            values,
             probe,
             linear_gamma_b=args.linear_gamma_b,
             include_phase=args.include_phase_labels,
             workers=workers,
         ),
     )
-    _summary(args.output, sweep.values.size, probe.size, t0)
+    _summary(args.output, values.size, probe.size, t0)
     return 0
 
 
@@ -265,20 +256,9 @@ def _cmd_condensates(args: argparse.Namespace) -> int:
     print(f"phase: {pd.phase.value}")
     for name, value in rows:
         print(f"{name}: {value:.12g}")
-    if args.output is not None:
-        if args.format == "json":
-            doc = {"phase": pd.phase.value}
-            doc.update({name: value for name, value in rows})
-            text = json.dumps(doc, separators=(",", ":")) + "\n"
-        else:
-            out = io.StringIO()
-            out.write("# columns: quantity,value\n")
-            out.write(f"phase,{pd.phase.value}\n")
-            for name, value in rows:
-                out.write(f"{name},{_fmt(value)}\n")
-            text = out.getvalue()
-        _atomic_write(args.output, text)
-        _summary(args.output, len(rows) + 1, 2, t0)
+    csv = f"# columns: quantity,value\nphase,{pd.phase.value}\n"
+    csv += "".join(f"{name},{_fmt(value)}\n" for name, value in rows)
+    _save(args, csv, {"phase": pd.phase.value, **dict(rows)}, (len(rows) + 1, 2), t0)
     return 0
 
 
@@ -289,8 +269,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(f"{g_star:.12f}")
-    if args.output is not None:
-        _atomic_write(args.output, f"# columns: g_star\n{_fmt(g_star)}\n")
+    _save(args, f"# columns: g_star\n{_fmt(g_star)}\n", None)
     return 0
 
 
@@ -302,39 +281,25 @@ def _cmd_squeeze(args: argparse.Namespace) -> int:
     if args.phi_points < 1:
         raise UsageError(f"--phi-points must be >= 1, got {args.phi_points}")
     vacuum = 1.0 / (2.0 * args.omega)
-    phis = np.linspace(0.0, 2.0 * np.pi, args.phi_points, endpoint=False)
-    lines = []
-    if args.theta != 0.0:
-        for phi in phis:
-            spec = QuadratureSpec(omega=args.omega, phi=phi, theta=args.theta, psi=args.psi)
-            lines.append((phi, two_mode_variance(params, spec)))
-    else:
-        for phi in phis:
-            spec = QuadratureSpec(omega=args.omega, phi=phi)
-            lines.append((phi, quadrature_variance(params, spec)))
-    values = np.array([v for _, v in lines])
-    print(f"variance min/max over phi: {values.min():.12g} / {values.max():.12g}")
+    phis = np.linspace(0.0, 2.0 * np.pi, args.phi_points, endpoint=False).tolist()
+    variance_of = two_mode_variance if args.theta != 0.0 else quadrature_variance
+    variances = [
+        variance_of(params, QuadratureSpec(args.omega, phi, args.theta, args.psi)) for phi in phis
+    ]
+    print(f"variance min/max over phi: {min(variances):.12g} / {max(variances):.12g}")
     print(f"vacuum reference 1/(2 omega): {vacuum:.12g}")
-    if args.output is not None:
-        if args.format == "json":
-            doc = {
-                "omega": args.omega,
-                "theta": args.theta,
-                "psi": args.psi,
-                "phi": [float(p) for p, _ in lines],
-                "variance": [float(v) for _, v in lines],
-                "vacuum": vacuum,
-            }
-            text = json.dumps(doc, separators=(",", ":")) + "\n"
-        else:
-            out = io.StringIO()
-            out.write(f"# omega={_fmt(args.omega)} theta={_fmt(args.theta)} psi={_fmt(args.psi)}\n")
-            out.write("# columns: phi,variance\n")
-            for phi, v in lines:
-                out.write(f"{_fmt(phi)},{_fmt(v)}\n")
-            text = out.getvalue()
-        _atomic_write(args.output, text)
-        _summary(args.output, len(lines), 2, t0)
+    csv = f"# omega={_fmt(args.omega)} theta={_fmt(args.theta)} psi={_fmt(args.psi)}\n"
+    csv += "# columns: phi,variance\n"
+    csv += "".join(f"{_fmt(phi)},{_fmt(v)}\n" for phi, v in zip(phis, variances))
+    doc = {
+        "omega": args.omega,
+        "theta": args.theta,
+        "psi": args.psi,
+        "phi": phis,
+        "variance": variances,
+        "vacuum": vacuum,
+    }
+    _save(args, csv, doc, (len(phis), 2), t0)
     return 0
 
 
@@ -345,19 +310,17 @@ def _cmd_altcoupling(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     res = alt_coupling_renorm(params, alt)
-    pairs = [
-        ("omega_a_prime", res.omega_a_prime),
-        ("omega_b_prime", res.omega_b_prime),
-        ("g_prime", res.g_prime),
-        ("g_c_prime", res.g_c_prime),
-        ("abnormal_a", res.abnormal_a),
-        ("abnormal_b", res.abnormal_b),
-    ]
-    for name, value in pairs:
+    doc = {
+        "omega_a_prime": res.omega_a_prime,
+        "omega_b_prime": res.omega_b_prime,
+        "g_prime": res.g_prime,
+        "g_c_prime": res.g_c_prime,
+        "abnormal_a": res.abnormal_a,
+        "abnormal_b": res.abnormal_b,
+    }
+    for name, value in doc.items():
         print(f"{name}: {value}")
-    if args.output is not None:
-        doc = {name: value for name, value in pairs}
-        _atomic_write(args.output, json.dumps(doc, separators=(",", ":")) + "\n")
+    _save(args, None, doc)
     return 0
 
 

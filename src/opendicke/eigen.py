@@ -309,26 +309,13 @@ def _advance_pairs(system: BogoliubovSystem, state, const: float, subohmic: bool
     return new_state
 
 
-def open_eigenfrequencies(params: ModelParams) -> EigenSet:
-    """The four complex eigenfrequencies for any admissible bath.
-
-    The eigenvalues of A - i Gamma / 2 at the same amplitudes with s = 0
-    are the answer for ohmic baths and the seed of a homotopy otherwise:
-    the exponents move toward their targets in steps of at most
-    EXPONENT_STEP, every root Newton-polished at each step (purely damped
-    pairs through the real on-axis equation, the rest in the complex plane).
-    A failing step is halved and retried, up to MAX_HALVINGS times.
-    """
-    pd = derive_phase(params)
-    system = build_system(pd, params)
+def _continue_exponents(system: BogoliubovSystem, const: float, roots, step: float) -> EigenSet:
+    """Continue the ohmic roots to the system's bath exponents, moving them
+    in increments of at most step. A failing increment is halved and
+    retried, up to MAX_HALVINGS times."""
     sa, sb = system.bath_a.exponent_s, system.bath_b.exponent_s
-    roots = _ohmic_roots(pd, params, system)
-    s_max = max(abs(sa), abs(sb))
-    if s_max == 0.0:
-        return _label_roots(roots)
-    const = zeta_constant_term(pd, params)
     state = _classify_pairs(roots)
-    dt_init = min(1.0, EXPONENT_STEP / s_max)
+    dt_init = min(1.0, step / max(abs(sa), abs(sb)))
     t, dt = 0.0, dt_init
     halvings = 0
     while t < 1.0 - 1e-15:
@@ -350,6 +337,39 @@ def open_eigenfrequencies(params: ModelParams) -> EigenSet:
         t = t_next
         dt = min(dt_init, 2.0 * dt)
     return _label_roots(_pairs_to_roots(state))
+
+
+def open_eigenfrequencies(params: ModelParams) -> EigenSet:
+    """The four complex eigenfrequencies for any admissible bath.
+
+    The eigenvalues of A - i Gamma / 2 at the same amplitudes with s = 0
+    are the answer for ohmic baths and the seed of a homotopy otherwise:
+    the exponents move toward their targets in steps of at most
+    EXPONENT_STEP, every root Newton-polished at each step (purely damped
+    pairs through the real on-axis equation, the rest in the complex plane).
+    A coarse step can let two tracked roots fall onto one zero, so when
+    both branches coincide the continuation reruns at a fifth of the step,
+    then at a twenty-fifth, and keeps the first rerun that completes with
+    them apart; genuinely coincident branches are returned as they are.
+    """
+    pd = derive_phase(params)
+    system = build_system(pd, params)
+    roots = _ohmic_roots(pd, params, system)
+    if system.bath_a.exponent_s == 0.0 and system.bath_b.exponent_s == 0.0:
+        return _label_roots(roots)
+    const = zeta_constant_term(pd, params)
+    first = None
+    for step in (EXPONENT_STEP, EXPONENT_STEP / 5, EXPONENT_STEP / 25):
+        try:
+            es = _continue_exponents(system, const, roots, step)
+        except ConvergenceError:
+            if first is None:
+                raise
+            continue
+        if abs(es.lower - es.upper) > SPLIT_TOL * max(abs(es.lower), abs(es.upper)):
+            return es
+        first = first or es
+    return first
 
 
 def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None = None) -> float:

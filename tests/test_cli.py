@@ -245,6 +245,13 @@ class TestFailureModes:
         assert run(["eigen", "--sweep", "g:0:0.5:5"]) == 2
         assert cli.PARALLEL_ENV in capsys.readouterr().err
 
+    def test_parallel_below_one_names_its_source(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.PARALLEL_ENV, "0")
+        assert run(["eigen", "--sweep", "g:0:0.5:5"]) == 2
+        assert f"${cli.PARALLEL_ENV} must be >= 1, got 0" in capsys.readouterr().err
+        assert run(["eigen", "--sweep", "g:0:0.5:5", "--parallel", "0"]) == 2
+        assert "--parallel must be >= 1, got 0" in capsys.readouterr().err
+
     def test_phase_labels_with_json_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         argv = ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "--format", "json"]
@@ -356,7 +363,7 @@ class TestFailureModes:
     def test_atomic_write_leaves_no_temp_on_failure(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "out.csv"
 
-        def boom(path, text=None, writer=None):
+        def boom(path, write):
             raise OSError(28, "No space left on device", str(target))
 
         monkeypatch.setattr(cli, "_atomic_write", boom)

@@ -487,3 +487,68 @@ class TestGapRule:
         assert eigen_mod._is_gap(-0.1j, -0.2j)
         assert not eigen_mod._is_gap(-0.1j, -0.1j)  # double rate: no split
         assert not eigen_mod._is_gap(0.1 - 0.1j, -0.1 - 0.2j)  # off the axis
+
+
+class TestCoincidentBranchRetry:
+    # Points where continuation at EXPONENT_STEP returns one root as both
+    # branches: eigen-nonohmic bench draws (bench/workloads.jobs_for at
+    # seed 24 draw 1, seed 210 draw 2, seed 407 draw 1 and seed 15 draw 1,
+    # on the sweep g:0:0.7:400; the last is repaired only at a step of
+    # EXPONENT_STEP / 25) and the scale point omega_a = omega_b = k,
+    # g = 0.7 k, gamma0 = (0.3, 0.2) k^(1 - s) at k = 1e-4.
+    POINTS = [
+        make(g=0.043859649122807015, ga=0.3287368909663596, gb=0.15432152304954866,
+             sa=-0.548452543184794, sb=0.508802266390444),
+        make(g=0.0, ga=0.28083778079421085, gb=0.2812003562442128,
+             sa=-0.5647181526501468, sb=0.597709057521417),
+        make(g=0.03508771929824561, ga=0.29909236941801554, gb=0.1595676357120574,
+             sa=-0.4703561038296026, sb=0.471306692859826),
+        make(g=0.0, ga=0.21722033788964284, gb=0.21726782520379195,
+             sa=-0.5529189318707053, sb=0.5767197113626681),
+        make(1e-4, 1e-4, 0.7e-4, 0.3 * 1e-4**1.5, 0.2 * 1e-4**0.5, -0.5, 0.5),
+    ]
+
+    @pytest.mark.parametrize(
+        "p", POINTS, ids=["seed24", "seed210", "seed407", "seed15", "k1e-4"]
+    )
+    def test_branches_separate_and_solve_det_m(self, p):
+        es = open_eigenfrequencies(p)
+        assert es.lower != es.upper
+        assert len(set(es.roots)) == 4
+        pd = derive_phase(p)
+        for z in es.roots:
+            m = m_matrix(pd, p, z)
+            assert abs(np.linalg.det(m)) <= 1e-9 * np.prod(np.linalg.norm(m, axis=1))
+
+    def test_genuinely_coincident_branches_are_returned(self):
+        # Decoupled identical ports: both branches are the same damped mode
+        # at every step, so the retry cannot separate them.
+        p = make(g=0.0, ga=0.2, gb=0.2, sa=0.5, sb=0.5)
+        es = open_eigenfrequencies(p)
+        assert es.lower == es.upper
+        m = m_matrix(derive_phase(p), p, es.lower)
+        assert abs(np.linalg.det(m)) <= 1e-9 * np.prod(np.linalg.norm(m, axis=1))
+
+    def test_failed_retries_return_the_first_result(self, monkeypatch):
+        steps = []
+        continue_exponents = eigen_mod._continue_exponents
+
+        def spy(system, const, roots, step):
+            steps.append(step)
+            if len(steps) > 1:
+                raise ConvergenceError("stuck", 0j, 1.0)
+            return continue_exponents(system, const, roots, step)
+
+        monkeypatch.setattr(eigen_mod, "_continue_exponents", spy)
+        es = open_eigenfrequencies(self.POINTS[0])
+        assert es.lower == es.upper
+        step = eigen_mod.EXPONENT_STEP
+        assert steps == [step, step / 5, step / 25]
+
+    def test_failed_first_continuation_raises(self, monkeypatch):
+        def stuck(system, const, roots, step):
+            raise ConvergenceError("stuck", 0j, 1.0)
+
+        monkeypatch.setattr(eigen_mod, "_continue_exponents", stuck)
+        with pytest.raises(ConvergenceError, match="stuck"):
+            open_eigenfrequencies(self.POINTS[0])

@@ -31,7 +31,7 @@ def opened(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
@@ -43,13 +43,13 @@ class TestPoolSize:
         assert list(fan_out(square, range(3), 500)) == [0, 1, 4]
         assert opened == [3]
 
-    def test_capped_at_chunk_count(self, opened):
-        assert list(fan_out(square, range(17), 500, chunksize=8)) == [x * x for x in range(17)]
-        assert opened == [3]
+    def test_capped_at_the_fewer_of_tasks_and_workers(self, opened):
+        assert list(fan_out(square, range(17), 500)) == [x * x for x in range(17)]
+        assert list(fan_out(square, range(17), 4)) == [x * x for x in range(17)]
+        assert opened == [17, 4]
 
     def test_no_pool_for_a_single_worker_or_chunk(self, opened):
         assert list(fan_out(square, range(5), 1)) == [0, 1, 4, 9, 16]
-        assert list(fan_out(square, range(5), 4, chunksize=8)) == [0, 1, 4, 9, 16]
         assert list(fan_out(square, [7], 500)) == [49]
         assert opened == []
 
@@ -75,7 +75,7 @@ class TestPoolSize:
 
 class TestRealPool:
     def test_order_preserved(self):
-        assert list(fan_out(square, range(10), 2, chunksize=3)) == [x * x for x in range(10)]
+        assert list(fan_out(square, range(10), 2)) == [x * x for x in range(10)]
 
     def test_sweep_spectrum_rows_match_in_process(self):
         sweep = np.linspace(0.1, 0.9, 19)
