@@ -429,8 +429,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        path = getattr(exc, "filename", None) or getattr(args, "output", "")
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        # Name the requested path: the OSError may carry _atomic_write's
+        # random temp file name, which differs on every run.
+        path = getattr(args, "output", None) or exc.filename
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 4
 
 

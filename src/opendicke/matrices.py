@@ -46,6 +46,7 @@ __all__ = [
     "m_matrix",
     "zeta",
     "zeta_from_system",
+    "s11_terms",
     "zeta_quartic_coeffs",
     "zeta_constant_term",
 ]
@@ -165,23 +166,46 @@ def m_matrix(
     return a - 0.5j * gam - omega * np.eye(4)
 
 
-def _det4(m) -> complex:
-    # Laplace expansion over the first two rows: branch free, fixed operation
-    # count, no pivoting noise near zeta ~ 0 where the root finders operate.
-    # Entries may be scalars or broadcastable arrays.
-    c01 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    c02 = m[0][0] * m[1][2] - m[0][2] * m[1][0]
-    c03 = m[0][0] * m[1][3] - m[0][3] * m[1][0]
-    c12 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-    c13 = m[0][1] * m[1][3] - m[0][3] * m[1][1]
-    c23 = m[0][2] * m[1][3] - m[0][3] * m[1][2]
-    d01 = m[2][0] * m[3][1] - m[2][1] * m[3][0]
-    d02 = m[2][0] * m[3][2] - m[2][2] * m[3][0]
-    d03 = m[2][0] * m[3][3] - m[2][3] * m[3][0]
-    d12 = m[2][1] * m[3][2] - m[2][2] * m[3][1]
-    d13 = m[2][1] * m[3][3] - m[2][3] * m[3][1]
-    d23 = m[2][2] * m[3][3] - m[2][3] * m[3][2]
-    return c01 * d23 - c02 * d13 + c03 * d12 + c12 * d03 - c13 * d02 + c23 * d01
+def _matter_minors(system: BogoliubovSystem, omega, gb) -> tuple:
+    """The 2x2 minors d02, d03, d23 of M's rows 2, 3 (the matter port).
+
+    Columns 0 and 1 of those rows are (a02, a02) and (-a02, -a02), so d12 and
+    d13 are d02 and d03 exactly, and d01 vanishes (see _port_zeta)."""
+    _, a02, a22, a23 = system.a_entries
+    hb = -0.5j * gb
+    na02 = -a02
+    m22 = a22 + hb - omega
+    m23 = a23 - hb
+    m32 = -a23 - hb
+    m33 = -a22 + hb - omega
+    return a02 * m32 - m22 * na02, a02 * m33 - m23 * na02, m22 * m33 - m23 * m32
+
+
+def _port_zeta(system: BogoliubovSystem, omega, ga, matter: tuple):
+    """det M by Laplace expansion over rows 0, 1 (the photon port), given
+    that port's rate ga and the matter minors of _matter_minors.
+
+    Row pattern of M: the diagonal picks up (h - omega), the partner column
+    in the same port block picks up -h, and cross-port entries are bare A
+    entries, so rows 0, 1 read (m00, -ha, a02, a02) and (-ha, m11, -a02, -a02).
+    Hence c03 = c02, c13 = c12 and c23 = d01 = a02 (-a02) - a02 (-a02) = 0.
+    Each minor and the six-term sum keep the operations, in order, of the
+    generic 4x4 expansion over rows 0, 1, so every value is bit-identical to
+    it (the golden digests pin those bits); the + c23 d01 term stays because
+    it turns a -0.0 sum into +0.0. Entries may be scalars or arrays.
+    """
+    a00, a02, _, _ = system.a_entries
+    d02, d03, d23 = matter
+    ha = -0.5j * ga
+    nha = -ha
+    na02 = -a02
+    m00 = a00 + ha - omega
+    m11 = -a00 + ha - omega
+    c01 = m00 * m11 - nha * nha
+    c02 = m00 * na02 - a02 * nha
+    c12 = nha * na02 - a02 * m11
+    c23 = a02 * na02 - a02 * na02
+    return c01 * d23 - c02 * d03 + c02 * d02 + c12 * d03 - c12 * d02 + c23 * c23
 
 
 def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature = INPUT):
@@ -199,18 +223,23 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
     else:
         ga = signature.sign_a * gamma_of(system.bath_a, omega)
         gb = signature.sign_b * gamma_of(system.bath_b, omega)
-    ha = -0.5j * ga
-    hb = -0.5j * gb
-    a00, a02, a22, a23 = system.a_entries
-    # Row pattern of M: diagonal picks up (h - omega), the partner column in
-    # the same port block picks up -h, cross-port entries are bare A entries.
-    m = (
-        (a00 + ha - omega, -ha, a02, a02),
-        (-ha, -a00 + ha - omega, -a02, -a02),
-        (a02, a02, a22 + hb - omega, a23 - hb),
-        (-a02, -a02, -a23 - hb, -a22 + hb - omega),
+    return _port_zeta(system, omega, ga, _matter_minors(system, omega, gb))
+
+
+def s11_terms(system: BogoliubovSystem, omega) -> tuple:
+    """(zeta(omega; FLIP_A), zeta(omega; INPUT)), the numerator and the
+    denominator of S11, bit-identical to two zeta_from_system calls at any
+    nonzero omega (S11 probes are positive).
+
+    The two differ only in the sign of the photon rate, so both share the
+    rate rows and the matter minors, which are evaluated once."""
+    gamma_a = gamma_of(system.bath_a, omega)
+    gb = INPUT.sign_b * gamma_of(system.bath_b, omega)
+    matter = _matter_minors(system, omega, gb)
+    return (
+        _port_zeta(system, omega, FLIP_A.sign_a * gamma_a, matter),
+        _port_zeta(system, omega, INPUT.sign_a * gamma_a, matter),
     )
-    return _det4(m)
 
 
 def zeta(

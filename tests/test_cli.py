@@ -360,6 +360,14 @@ class TestFailureModes:
         assert rc == 4
         assert "/nonexistent-dir" in capsys.readouterr().err
 
+    def test_io_error_names_the_requested_path(self, capsys):
+        errs = []
+        for _ in range(2):
+            assert run(["critical", "-o", "/nonexistent-dir/x.csv"]) == 4
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0] == "error: cannot write /nonexistent-dir/x.csv: No such file or directory\n"
+
     def test_atomic_write_leaves_no_temp_on_failure(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "out.csv"
 

@@ -5,6 +5,7 @@ import pytest
 
 from opendicke.model import BathSpec, Phase, PhaseData, derive_phase
 from opendicke.model import _superradiant_fields
+from opendicke.scattering import s11
 from opendicke.matrices import (
     FLIP_A,
     INPUT,
@@ -15,11 +16,12 @@ from opendicke.matrices import (
     build_gamma,
     build_system,
     m_matrix,
+    s11_terms,
     zeta,
     zeta_constant_term,
+    zeta_from_system,
     zeta_quartic_coeffs,
 )
-from opendicke.matrices import _det4
 
 from conftest import make
 
@@ -305,12 +307,68 @@ class TestQuarticCoefficients:
             assert zeta_constant_term(derive_phase(p), p) > 0.0
 
 
-def test_det4_against_numpy():
+@pytest.mark.parametrize("g", [0.3, 0.7])
+@pytest.mark.parametrize("sa, sb", [(0.0, 0.0), (-0.5, 0.6)])
+@pytest.mark.parametrize("sig", [INPUT, OUTPUT, FLIP_A], ids=["INPUT", "OUTPUT", "FLIP_A"])
+def test_zeta_matches_numpy_determinant(g, sa, sb, sig):
+    """The port-block expansion against LAPACK's det of the explicit M, in
+    both phases, for scalar and array frequencies off and on the real axis."""
+    p = make(omega_a=1.1, omega_b=0.9, g=g, ga=0.3, gb=0.2, sa=sa, sb=sb)
+    pd = derive_phase(p)
+    system = build_system(pd, p)
     rng = np.random.default_rng(17)
-    for _ in range(50):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rows = tuple(tuple(m[i, j] for j in range(4)) for i in range(4))
-        assert abs(_det4(rows) - np.linalg.det(m)) < 1e-12 * max(1.0, abs(np.linalg.det(m)))
+    off_axis = rng.uniform(-2.5, 2.5, 20) - 1j * rng.uniform(0.01, 1.5, 20)
+    omegas = np.concatenate([rng.uniform(0.05, 2.5, 20), off_axis])
+    vec = zeta_from_system(system, omegas, sig)
+    for w, v in zip(omegas.tolist(), vec.tolist()):
+        det = np.linalg.det(m_matrix(pd, p, w, sig))
+        tol = 1e-12 * max(1.0, abs(det))
+        assert abs(zeta_from_system(system, w, sig) - det) < tol
+        assert abs(v - det) < tol
+
+
+def _same_bits(x, y) -> bool:
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+class TestS11Terms:
+    """s11_terms shares the rate rows and matter minors of the numerator and
+    denominator, and must return the bits of the two separate zeta calls."""
+
+    @staticmethod
+    def assert_two_calls(system, omega):
+        num, den = s11_terms(system, omega)
+        assert _same_bits(num, zeta_from_system(system, omega, FLIP_A))
+        assert _same_bits(den, zeta_from_system(system, omega, INPUT))
+
+    @pytest.mark.parametrize("g", [0.2, 0.45, 0.55, 0.9])
+    @pytest.mark.parametrize("sa, sb", [(0.0, 0.0), (-0.4, 0.5), (0.7, -0.3)])
+    def test_rows_and_scalars_in_both_phases(self, g, sa, sb):
+        p = make(omega_a=1.0, omega_b=1.2, g=g, ga=0.05, gb=0.08, sa=sa, sb=sb)
+        system = build_system(derive_phase(p), p)
+        probe = np.linspace(0.01, 4.0, 2001)
+        self.assert_two_calls(system, probe)
+        for w in (0.01, 0.7, 1.0, 1.2, 3.9):
+            self.assert_two_calls(system, w)
+
+    def test_ulp_shift_fallback(self):
+        # Decoupled, undamped matter port, probe on its resonance: the
+        # denominator is exactly 0 there and S11 shifts the probe.
+        p = make(g=0.0, ga=0.3, gb=0.0)
+        system = build_system(derive_phase(p), p)
+        assert s11_terms(system, 1.0)[1] == 0
+        probe = np.array([0.5, 1.0, 1.5])
+        assert s11_terms(system, probe)[1][1] == 0
+        shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
+        for omega in (1.0, 1.0 * (1.0 + 1e-9), probe, shifted):
+            self.assert_two_calls(system, omega)
+        ratio = zeta_from_system(system, shifted, FLIP_A) / zeta_from_system(system, shifted, INPUT)
+        assert _same_bits(s11(p, probe), ratio)
+        w = 1.0 * (1.0 + 1e-9)
+        ratio = zeta_from_system(system, w, FLIP_A) / zeta_from_system(system, w, INPUT)
+        assert _same_bits(s11(p, 1.0), ratio)
 
 
 def test_m_matrix_shape_and_output_signature():
