@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, Phase, PhaseData, derive_phase
+from .model import BathSpec, ModelParams, Phase, PhaseData, derive_phase
 from .matrices import (
     INPUT,
     BogoliubovSystem,
@@ -320,10 +320,11 @@ def _continue_exponents(system: BogoliubovSystem, const: float, roots, step: flo
     halvings = 0
     while t < 1.0 - 1e-15:
         t_next = min(1.0, t + dt)
-        stepped = replace(
-            system,
-            bath_a=replace(system.bath_a, exponent_s=t_next * sa),
-            bath_b=replace(system.bath_b, exponent_s=t_next * sb),
+        stepped = BogoliubovSystem(
+            system.phase,
+            system.a_matrix,
+            BathSpec(system.bath_a.gamma0, t_next * sa),
+            BathSpec(system.bath_b.gamma0, t_next * sb),
         )
         subohmic = min(t_next * sa, t_next * sb) < 0.0
         try:

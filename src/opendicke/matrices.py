@@ -18,6 +18,13 @@ enters only the two port blocks, so in either phase zeta factorizes exactly,
 with omega_b~, g~, d and the saturated matter rate from PhaseData (bare, and
 d = 0, in the normal phase). It holds at any fixed omega for every bath law,
 with gamma_j = gamma_j(omega) carrying the signature signs.
+
+Numerically zeta is one Laplace expansion over the two port blocks of M.
+_photon_half holds the photon-port entries, which depend only on omega_a,
+omega and gamma_a; _matter_minors and _port_zeta hold the rest.
+zeta_from_system composes them for one system, and s11_terms shares the
+photon entries across a block of systems with one omega_a and one photon
+bath (the rows of a spectrum grid).
 """
 
 from __future__ import annotations
@@ -82,8 +89,8 @@ class BogoliubovSystem:
     phase, so consumers never special-case the phase again.
 
     a_entries holds the four real entries A[0, 0], A[0, 2], A[2, 2] and
-    A[2, 3] that fix A, read once here rather than on every zeta call
-    (dataclasses.replace rebuilds it for each stepped system)."""
+    A[2, 3] that fix A, read once per system in __post_init__ rather than on
+    every zeta call (the exponent continuation builds one system per step)."""
 
     phase: Phase
     a_matrix: np.ndarray
@@ -166,24 +173,43 @@ def m_matrix(
     return a - 0.5j * gam - omega * np.eye(4)
 
 
-def _matter_minors(system: BogoliubovSystem, omega, gb) -> tuple:
+def _matter_minors(a02, a22, a23, omega, gb) -> tuple:
     """The 2x2 minors d02, d03, d23 of M's rows 2, 3 (the matter port).
 
     Columns 0 and 1 of those rows are (a02, a02) and (-a02, -a02), so d12 and
-    d13 are d02 and d03 exactly, and d01 vanishes (see _port_zeta)."""
-    _, a02, a22, a23 = system.a_entries
+    d13 are d02 and d03 exactly, and d01 vanishes (see _port_zeta). Each entry
+    is dropped once spent, which lowers the peak of an S11 block by two probe
+    rows (see s11_terms)."""
     hb = -0.5j * gb
     na02 = -a02
     m22 = a22 + hb - omega
     m23 = a23 - hb
     m32 = -a23 - hb
     m33 = -a22 + hb - omega
-    return a02 * m32 - m22 * na02, a02 * m33 - m23 * na02, m22 * m33 - m23 * m32
+    del hb
+    d23 = m22 * m33 - m23 * m32
+    d02 = a02 * m32 - m22 * na02
+    del m22, m32
+    return d02, a02 * m33 - m23 * na02, d23
 
 
-def _port_zeta(system: BogoliubovSystem, omega, ga, matter: tuple):
+def _photon_half(a00, omega, ga) -> tuple:
+    """The entries (nha, m00, m11) of M's rows 0, 1 (the photon port), which
+    depend only on A[0, 0], omega and that port's rate ga (see _port_zeta).
+
+    S11 grid rows share omega, A[0, 0] = omega_a and the photon bath, so
+    s11_terms evaluates this once per block of rows."""
+    ha = -0.5j * ga
+    nha = -ha
+    m00 = a00 + ha - omega
+    m11 = -a00 + ha - omega
+    return nha, m00, m11
+
+
+def _port_zeta(a02, photon: tuple, matter: tuple):
     """det M by Laplace expansion over rows 0, 1 (the photon port), given
-    that port's rate ga and the matter minors of _matter_minors.
+    that port's entries from _photon_half and the matter minors of
+    _matter_minors.
 
     Row pattern of M: the diagonal picks up (h - omega), the partner column
     in the same port block picks up -h, and cross-port entries are bare A
@@ -194,13 +220,9 @@ def _port_zeta(system: BogoliubovSystem, omega, ga, matter: tuple):
     it (the golden digests pin those bits); the + c23 d01 term stays because
     it turns a -0.0 sum into +0.0. Entries may be scalars or arrays.
     """
-    a00, a02, _, _ = system.a_entries
+    nha, m00, m11 = photon
     d02, d03, d23 = matter
-    ha = -0.5j * ga
-    nha = -ha
     na02 = -a02
-    m00 = a00 + ha - omega
-    m11 = -a00 + ha - omega
     c01 = m00 * m11 - nha * nha
     c02 = m00 * na02 - a02 * nha
     c12 = nha * na02 - a02 * m11
@@ -223,23 +245,41 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
     else:
         ga = signature.sign_a * gamma_of(system.bath_a, omega)
         gb = signature.sign_b * gamma_of(system.bath_b, omega)
-    return _port_zeta(system, omega, ga, _matter_minors(system, omega, gb))
+    a00, a02, a22, a23 = system.a_entries
+    matter = _matter_minors(a02, a22, a23, omega, gb)
+    return _port_zeta(a02, _photon_half(a00, omega, ga), matter)
 
 
-def s11_terms(system: BogoliubovSystem, omega) -> tuple:
-    """(zeta(omega; FLIP_A), zeta(omega; INPUT)), the numerator and the
-    denominator of S11, bit-identical to two zeta_from_system calls at any
-    nonzero omega (S11 probes are positive).
+def s11_terms(systems, omega):
+    """Iterator over (zeta(omega; FLIP_A), zeta(omega; INPUT)), the numerator
+    and the denominator of S11, one pair per system of a block in order,
+    bit-identical to two zeta_from_system calls per system at any nonzero
+    omega (S11 probes are positive).
 
-    The two differ only in the sign of the photon rate, so both share the
-    rate rows and the matter minors, which are evaluated once."""
-    gamma_a = gamma_of(system.bath_a, omega)
-    gb = INPUT.sign_b * gamma_of(system.bath_b, omega)
-    matter = _matter_minors(system, omega, gb)
-    return (
-        _port_zeta(system, omega, FLIP_A.sign_a * gamma_a, matter),
-        _port_zeta(system, omega, INPUT.sign_a * gamma_a, matter),
-    )
+    The systems of a block must share A[0, 0] = omega_a and the photon bath,
+    as the rows of every spectrum sweep do; otherwise ValueError is raised at
+    once. The photon rate and the photon entries at -gamma_a and +gamma_a
+    are evaluated once per block. Each pair then costs only the matter rate,
+    the matter minors and the rest of the expansion, and is computed as it
+    is consumed, so one row's pair is live at a time.
+
+    The photon minor c01 stays per row in _port_zeta: held across the block
+    too, it would raise the peak of a one-system block (s11, lamb_shift) by
+    two probe rows, past what the allocator keeps mapped after a grid, so
+    that every later s11 call faults its rows in anew."""
+    a00, bath_a = systems[0].a_entries[0], systems[0].bath_a
+    if any(s.a_entries[0] != a00 or s.bath_a != bath_a for s in systems):
+        raise ValueError("the systems of an S11 block must share omega_a and the photon bath")
+    gamma_a = gamma_of(bath_a, omega)
+    num_half = _photon_half(a00, omega, FLIP_A.sign_a * gamma_a)
+    den_half = _photon_half(a00, omega, INPUT.sign_a * gamma_a)
+
+    def pair(system):
+        _, a02, a22, a23 = system.a_entries
+        matter = _matter_minors(a02, a22, a23, omega, INPUT.sign_b * gamma_of(system.bath_b, omega))
+        return _port_zeta(a02, num_half, matter), _port_zeta(a02, den_half, matter)
+
+    return map(pair, systems)
 
 
 def zeta(

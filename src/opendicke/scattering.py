@@ -61,22 +61,24 @@ def s11(params: ModelParams, omega):
     """
     _validate_probe(omega)
     pd = derive_phase(params)
-    system = build_system(pd, params)
-    return _s11_rows(system, omega)
+    return _s11_rows([build_system(pd, params)], omega)[0]
 
 
-def _s11_rows(system, omega):
-    num, den = s11_terms(system, omega)
-    # A real-axis denominator zero only happens at measure-zero parameter
-    # coincidences (an undamped decoupled mode hit exactly on resonance);
-    # there the numerator shares the vanishing factor, so the ratio is
-    # recovered from an ulp-scale probe offset.
-    if isinstance(den, np.ndarray):
+def _s11_rows(systems, omega) -> list:
+    """S11 of each system of one s11_terms block at the probe omega."""
+    rows = []
+    for system, (num, den) in zip(systems, s11_terms(systems, omega)):
+        # A real-axis denominator zero only happens at measure-zero parameter
+        # coincidences (an undamped decoupled mode hit exactly on resonance);
+        # there the numerator shares the vanishing factor, so the ratio is
+        # recovered from an ulp-scale probe offset, for this row alone.
         if np.any(den == 0):
-            num, den = s11_terms(system, np.where(den == 0, omega * (1.0 + 1e-9), omega))
-    elif den == 0:
-        num, den = s11_terms(system, omega * (1.0 + 1e-9))
-    return num / den
+            shifted = omega * (1.0 + 1e-9)
+            if isinstance(den, np.ndarray):
+                shifted = np.where(den == 0, shifted, omega)
+            ((num, den),) = s11_terms([system], shifted)
+        rows.append(num / den)
+    return rows
 
 
 def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
@@ -203,7 +205,7 @@ def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
     params, axis, sweep, probe, linear_gamma_b, fmt, include_phase = task
     points = [resolve_point(params, axis, v, linear_gamma_b) for v in sweep.tolist()]
     phases = [derive_phase(p) for p in points]
-    values = np.vstack([_s11_rows(build_system(pd, p), probe) for pd, p in zip(phases, points)])
+    values = np.vstack(_s11_rows([build_system(pd, p) for pd, p in zip(phases, points)], probe))
     labels = [pd.phase.value for pd in phases]
     if fmt is not None:
         values = _format_block(fmt, include_phase, sweep, probe, values, labels)

@@ -5,7 +5,7 @@ import pytest
 
 from opendicke.model import BathSpec, Phase, PhaseData, derive_phase
 from opendicke.model import _superradiant_fields
-from opendicke.scattering import s11
+from opendicke.scattering import resolve_point, s11, sweep_spectrum
 from opendicke.matrices import (
     FLIP_A,
     INPUT,
@@ -334,41 +334,101 @@ def _same_bits(x, y) -> bool:
 
 
 class TestS11Terms:
-    """s11_terms shares the rate rows and matter minors of the numerator and
-    denominator, and must return the bits of the two separate zeta calls."""
+    """s11_terms shares the photon half of a block of systems, and the rate
+    rows and matter minors of each row's numerator and denominator. Every row
+    must carry the bits of the two separate zeta calls of its system alone."""
 
     @staticmethod
-    def assert_two_calls(system, omega):
-        num, den = s11_terms(system, omega)
-        assert _same_bits(num, zeta_from_system(system, omega, FLIP_A))
-        assert _same_bits(den, zeta_from_system(system, omega, INPUT))
+    def assert_two_calls(systems, omega):
+        terms = list(s11_terms(systems, omega))
+        assert len(terms) == len(systems)
+        for system, (num, den) in zip(systems, terms):
+            assert _same_bits(num, zeta_from_system(system, omega, FLIP_A))
+            assert _same_bits(den, zeta_from_system(system, omega, INPUT))
+
+    @staticmethod
+    def block(points):
+        return [build_system(derive_phase(p), p) for p in points]
 
     @pytest.mark.parametrize("g", [0.2, 0.45, 0.55, 0.9])
     @pytest.mark.parametrize("sa, sb", [(0.0, 0.0), (-0.4, 0.5), (0.7, -0.3)])
     def test_rows_and_scalars_in_both_phases(self, g, sa, sb):
         p = make(omega_a=1.0, omega_b=1.2, g=g, ga=0.05, gb=0.08, sa=sa, sb=sb)
-        system = build_system(derive_phase(p), p)
+        systems = self.block([p])
         probe = np.linspace(0.01, 4.0, 2001)
-        self.assert_two_calls(system, probe)
+        self.assert_two_calls(systems, probe)
         for w in (0.01, 0.7, 1.0, 1.2, 3.9):
-            self.assert_two_calls(system, w)
+            self.assert_two_calls(systems, w)
+
+    @pytest.mark.parametrize("sa, sb", [(0.0, 0.0), (-0.4, 0.5), (0.7, -0.3)])
+    def test_g_sweep_block_straddles_the_transition(self, sa, sb):
+        base = make(omega_a=1.0, omega_b=1.2, ga=0.05, gb=0.08, sa=sa, sb=sb)
+        g_c = 0.5 * np.sqrt(1.2)
+        points = [resolve_point(base, "g", v, False) for v in np.linspace(0.6, 1.4, 8) * g_c]
+        phases = {derive_phase(p).phase for p in points}
+        assert phases == {Phase.NORMAL, Phase.SUPERRADIANT}
+        systems = self.block(points)
+        self.assert_two_calls(systems, np.linspace(0.01, 4.0, 2001))
+        for w in (0.01, 1.0, 3.9):
+            self.assert_two_calls(systems, w)
+
+    def test_ratio_sweep_block_with_linear_gamma_b(self):
+        base = make(omega_a=1.0, omega_b=1.0, g=0.45, ga=0.05, gb=0.08, sa=-0.3, sb=0.4)
+        points = [resolve_point(base, "ratio", v, True) for v in np.linspace(0.2, 2.0, 8)]
+        assert len({p.bath_b for p in points}) == 8
+        assert {derive_phase(p).phase for p in points} == {Phase.NORMAL, Phase.SUPERRADIANT}
+        self.assert_two_calls(self.block(points), np.linspace(0.01, 1.8, 2001))
 
     def test_ulp_shift_fallback(self):
         # Decoupled, undamped matter port, probe on its resonance: the
         # denominator is exactly 0 there and S11 shifts the probe.
         p = make(g=0.0, ga=0.3, gb=0.0)
-        system = build_system(derive_phase(p), p)
-        assert s11_terms(system, 1.0)[1] == 0
+        systems = self.block([p])
+        ((_, den),) = s11_terms(systems, 1.0)
+        assert den == 0
         probe = np.array([0.5, 1.0, 1.5])
-        assert s11_terms(system, probe)[1][1] == 0
+        ((_, den),) = s11_terms(systems, probe)
+        assert den[1] == 0
         shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
         for omega in (1.0, 1.0 * (1.0 + 1e-9), probe, shifted):
-            self.assert_two_calls(system, omega)
+            self.assert_two_calls(systems, omega)
+        (system,) = systems
         ratio = zeta_from_system(system, shifted, FLIP_A) / zeta_from_system(system, shifted, INPUT)
         assert _same_bits(s11(p, probe), ratio)
         w = 1.0 * (1.0 + 1e-9)
         ratio = zeta_from_system(system, w, FLIP_A) / zeta_from_system(system, w, INPUT)
         assert _same_bits(s11(p, 1.0), ratio)
+
+    def test_ulp_shift_inside_a_block_leaves_its_neighbours(self):
+        # The g = 0 row in the middle of the block is decoupled with an
+        # undamped matter port, so it takes the ulp shift on resonance; the
+        # coupled rows around it (both phases) have no real denominator zero.
+        base = make(ga=0.3, gb=0.0)
+        couplings = np.array([0.1, 0.2, 0.3, 0.0, 0.4, 0.6, 0.7, 0.8])
+        probe = np.array([0.5, 1.0, 1.5])
+        points = [resolve_point(base, "g", v, False) for v in couplings]
+        dens = [den for _, den in s11_terms(self.block(points), probe)]
+        assert [bool(np.any(den == 0)) for den in dens] == [False] * 3 + [True] + [False] * 4
+        grid = sweep_spectrum(base, "g", couplings, probe)
+        for p, row in zip(points, grid.values):
+            assert _same_bits(row, s11(p, probe))
+        ((num, den),) = s11_terms(self.block(points[:1]), probe)
+        assert _same_bits(grid.values[0], num / den)
+        shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
+        ((num, den),) = s11_terms(self.block(points[3:4]), shifted)
+        assert _same_bits(grid.values[3], num / den)
+
+    def test_block_must_share_omega_a_and_the_photon_bath(self):
+        p = make(g=0.2, ga=0.05, gb=0.08, sa=-0.3)
+        others = (
+            replace(p, omega_a=1.1),
+            replace(p, bath_a=BathSpec(0.06, -0.3)),
+            replace(p, bath_a=BathSpec(0.05, 0.3)),
+        )
+        probe = np.linspace(0.01, 4.0, 11)
+        for other in others:
+            with pytest.raises(ValueError, match="omega_a and the photon bath"):
+                s11_terms(self.block([p, p, other]), probe)
 
 
 def test_m_matrix_shape_and_output_signature():
