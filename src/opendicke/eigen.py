@@ -26,6 +26,7 @@ from .model import BathSpec, ModelParams, Phase, PhaseData, derive_phase
 from .matrices import (
     INPUT,
     BogoliubovSystem,
+    build_a_matrix,
     build_gamma,
     build_system,
     zeta_constant_term,
@@ -108,7 +109,7 @@ def closed_eigenfrequencies(params: ModelParams) -> tuple[float, float]:
         lo2 = max(0.0, 0.5 * (wa2 + wb2 - disc))
         hi2 = 0.5 * (wa2 + wb2 + disc)
         return float(np.sqrt(lo2)), float(np.sqrt(hi2))
-    ev = np.linalg.eigvals(build_system(pd, params).a_matrix)
+    ev = np.linalg.eigvals(build_a_matrix(pd, params))
     pos = np.sort(ev.real)[2:]
     return float(max(0.0, pos[0])), float(pos[1])
 
@@ -159,11 +160,11 @@ def _label_roots(roots) -> EigenSet:
     )
 
 
-def _ohmic_roots(pd: PhaseData, params: ModelParams, system: BogoliubovSystem) -> np.ndarray:
+def _ohmic_roots(pd: PhaseData, params: ModelParams) -> np.ndarray:
     """Eigenvalues of A - i Gamma(1) / 2. Gamma(1) holds the amplitudes
     gamma0 exactly for every exponent (gamma0 * 1.0**s == gamma0), so this
     is the ohmic spectrum at the same amplitudes."""
-    return np.linalg.eigvals(system.a_matrix - 0.5j * build_gamma(pd, params, 1.0, INPUT))
+    return np.linalg.eigvals(build_a_matrix(pd, params) - 0.5j * build_gamma(pd, params, 1.0, INPUT))
 
 
 AXIS_SWITCH = 1e-8  # |Re| below which the continuation treats a root as on-axis
@@ -321,8 +322,7 @@ def _continue_exponents(system: BogoliubovSystem, const: float, roots, step: flo
     while t < 1.0 - 1e-15:
         t_next = min(1.0, t + dt)
         stepped = BogoliubovSystem(
-            system.phase,
-            system.a_matrix,
+            system.a_entries,
             BathSpec(system.bath_a.gamma0, t_next * sa),
             BathSpec(system.bath_b.gamma0, t_next * sb),
         )
@@ -355,7 +355,7 @@ def open_eigenfrequencies(params: ModelParams) -> EigenSet:
     """
     pd = derive_phase(params)
     system = build_system(pd, params)
-    roots = _ohmic_roots(pd, params, system)
+    roots = _ohmic_roots(pd, params)
     if system.bath_a.exponent_s == 0.0 and system.bath_b.exponent_s == 0.0:
         return _label_roots(roots)
     const = zeta_constant_term(pd, params)

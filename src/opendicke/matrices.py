@@ -19,27 +19,21 @@ with omega_b~, g~, d and the saturated matter rate from PhaseData (bare, and
 d = 0, in the normal phase). It holds at any fixed omega for every bath law,
 with gamma_j = gamma_j(omega) carrying the signature signs.
 
-Numerically zeta is one Laplace expansion over the two port blocks of M.
-_photon_half holds the photon-port entries, which depend only on omega_a,
-omega and gamma_a; _matter_minors and _port_zeta hold the rest.
-zeta_from_system composes them for one system, and s11_terms shares the
-photon entries across a block of systems with one omega_a and one photon
-bath (the rows of a spectrum grid).
+Numerically zeta is one Laplace expansion over the two port blocks of M,
+reading A from the four real entries a BogoliubovSystem holds. _photon_half
+holds the photon-port entries, which depend only on omega_a, omega and
+gamma_a; _matter_minors and _port_zeta hold the rest. zeta_from_system
+composes them for one system, and s11_rows, S11 itself, shares the photon
+entries across a block of systems with one omega_a and one photon bath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    BathSpec,
-    ModelParams,
-    Phase,
-    PhaseData,
-    gamma_of,
-)
+from .model import BathSpec, ModelParams, Phase, PhaseData, gamma_of
 
 __all__ = [
     "ZetaSignature",
@@ -53,7 +47,7 @@ __all__ = [
     "m_matrix",
     "zeta",
     "zeta_from_system",
-    "s11_terms",
+    "s11_rows",
     "zeta_quartic_coeffs",
     "zeta_constant_term",
 ]
@@ -83,25 +77,24 @@ FLIP_A = ZetaSignature(-1, 1)
 
 @dataclass(frozen=True)
 class BogoliubovSystem:
-    """Phase-resolved system: the 4x4 dynamical matrix plus the effective
+    """Phase-resolved system: the 4x4 dynamical matrix A plus the effective
     per-port bath laws. The matter-port bath already carries the saturation
     replacement gamma0_b -> 4 gamma0_b / (lam + 1)^2 in the superradiant
     phase, so consumers never special-case the phase again.
 
-    a_entries holds the four real entries A[0, 0], A[0, 2], A[2, 2] and
-    A[2, 3] that fix A, read once per system in __post_init__ rather than on
-    every zeta call (the exponent continuation builds one system per step)."""
+    A is held as a_entries, its four real entries A[0, 0], A[0, 2], A[2, 2]
+    and A[2, 3] (see _a_entries); build_a_matrix lays out the rest."""
 
-    phase: Phase
-    a_matrix: np.ndarray
+    a_entries: tuple[float, float, float, float]
     bath_a: BathSpec
     bath_b: BathSpec
-    a_entries: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        a = self.a_matrix
-        entries = tuple(float(a[i, j].real) for i, j in ((0, 0), (0, 2), (2, 2), (2, 3)))
-        object.__setattr__(self, "a_entries", entries)
+
+def _a_entries(phase_data: PhaseData, params: ModelParams) -> tuple[float, float, float, float]:
+    """A[0, 0], A[0, 2], A[2, 2] and A[2, 3]: (omega_a, g~, omega_b~ + 2 d, 2 d)."""
+    d2 = 2.0 * phase_data.d_term
+    wb = phase_data.omega_b_tilde
+    return float(params.omega_a), float(phase_data.g_tilde), float(wb + d2), float(d2)
 
 
 def build_a_matrix(phase_data: PhaseData, params: ModelParams) -> np.ndarray:
@@ -111,34 +104,23 @@ def build_a_matrix(phase_data: PhaseData, params: ModelParams) -> np.ndarray:
     critical) phase and the renormalized values in the superradiant phase,
     so the one matrix serves both.
     """
-    wa = params.omega_a
-    wb, g, d = phase_data.omega_b_tilde, phase_data.g_tilde, phase_data.d_term
+    wa, g, a22, a23 = _a_entries(phase_data, params)
     return np.array(
         [
             [wa, 0.0, g, g],
             [0.0, -wa, -g, -g],
-            [g, g, wb + 2.0 * d, 2.0 * d],
-            [-g, -g, -2.0 * d, -wb - 2.0 * d],
+            [g, g, a22, a23],
+            [-g, -g, -a23, -a22],
         ],
         dtype=complex,
     )
 
 
-def _effective_baths(phase_data: PhaseData, params: ModelParams) -> tuple[BathSpec, BathSpec]:
+def build_system(phase_data: PhaseData, params: ModelParams) -> BogoliubovSystem:
     bath_b = params.bath_b
     if phase_data.phase is Phase.SUPERRADIANT:
         bath_b = replace(bath_b, gamma0=phase_data.gamma_b_tilde_amp)
-    return params.bath_a, bath_b
-
-
-def build_system(phase_data: PhaseData, params: ModelParams) -> BogoliubovSystem:
-    bath_a, bath_b = _effective_baths(phase_data, params)
-    return BogoliubovSystem(
-        phase=phase_data.phase,
-        a_matrix=build_a_matrix(phase_data, params),
-        bath_a=bath_a,
-        bath_b=bath_b,
-    )
+    return BogoliubovSystem(_a_entries(phase_data, params), params.bath_a, bath_b)
 
 
 def build_gamma(
@@ -150,9 +132,9 @@ def build_gamma(
     """Decay matrix Gamma(omega): block diagonal over the ports, each block
     gamma * [[1, -1], [-1, 1]] (rank one; the off-diagonal sign flip comes
     from the counter-rotating part of the system-bath interaction)."""
-    bath_a, bath_b = _effective_baths(phase_data, params)
-    ga = signature.sign_a * gamma_of(bath_a, omega)
-    gb = signature.sign_b * gamma_of(bath_b, omega)
+    system = build_system(phase_data, params)
+    ga = signature.sign_a * gamma_of(system.bath_a, omega)
+    gb = signature.sign_b * gamma_of(system.bath_b, omega)
     out = np.zeros((4, 4), dtype=complex)
     out[0, 0] = out[1, 1] = ga
     out[0, 1] = out[1, 0] = -ga
@@ -179,7 +161,7 @@ def _matter_minors(a02, a22, a23, omega, gb) -> tuple:
     Columns 0 and 1 of those rows are (a02, a02) and (-a02, -a02), so d12 and
     d13 are d02 and d03 exactly, and d01 vanishes (see _port_zeta). Each entry
     is dropped once spent, which lowers the peak of an S11 block by two probe
-    rows (see s11_terms)."""
+    rows (see s11_rows)."""
     hb = -0.5j * gb
     na02 = -a02
     m22 = a22 + hb - omega
@@ -198,7 +180,7 @@ def _photon_half(a00, omega, ga) -> tuple:
     depend only on A[0, 0], omega and that port's rate ga (see _port_zeta).
 
     S11 grid rows share omega, A[0, 0] = omega_a and the photon bath, so
-    s11_terms evaluates this once per block of rows."""
+    s11_rows evaluates this once per block of rows."""
     ha = -0.5j * ga
     nha = -ha
     m00 = a00 + ha - omega
@@ -250,18 +232,17 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
     return _port_zeta(a02, _photon_half(a00, omega, ga), matter)
 
 
-def s11_terms(systems, omega):
-    """Iterator over (zeta(omega; FLIP_A), zeta(omega; INPUT)), the numerator
-    and the denominator of S11, one pair per system of a block in order,
-    bit-identical to two zeta_from_system calls per system at any nonzero
-    omega (S11 probes are positive).
+def s11_rows(systems, omega) -> list:
+    """S11 = zeta(omega; FLIP_A) / zeta(omega; INPUT) of each system of a
+    block, in order, bit-identical to the ratio of the two zeta_from_system
+    calls of that system alone at any nonzero omega (S11 probes are
+    positive).
 
     The systems of a block must share A[0, 0] = omega_a and the photon bath,
     as the rows of every spectrum sweep do; otherwise ValueError is raised at
     once. The photon rate and the photon entries at -gamma_a and +gamma_a
-    are evaluated once per block. Each pair then costs only the matter rate,
-    the matter minors and the rest of the expansion, and is computed as it
-    is consumed, so one row's pair is live at a time.
+    are evaluated once per block. Each row then costs only the matter rate,
+    the matter minors and the rest of the expansion.
 
     The photon minor c01 stays per row in _port_zeta: held across the block
     too, it would raise the peak of a one-system block (s11, lamb_shift) by
@@ -273,13 +254,29 @@ def s11_terms(systems, omega):
     gamma_a = gamma_of(bath_a, omega)
     num_half = _photon_half(a00, omega, FLIP_A.sign_a * gamma_a)
     den_half = _photon_half(a00, omega, INPUT.sign_a * gamma_a)
-
-    def pair(system):
+    # For the same reason the photon rate is dropped once both halves exist,
+    # and each row's matter minors once both terms exist: kept, the rate adds
+    # half a probe row to a one-system peak and the minors live on into the
+    # next row's, and the dip-scan pass faults 20k-66k pages instead of 16k.
+    del gamma_a
+    rows = []
+    for system in systems:
         _, a02, a22, a23 = system.a_entries
         matter = _matter_minors(a02, a22, a23, omega, INPUT.sign_b * gamma_of(system.bath_b, omega))
-        return _port_zeta(a02, num_half, matter), _port_zeta(a02, den_half, matter)
-
-    return map(pair, systems)
+        num, den = _port_zeta(a02, num_half, matter), _port_zeta(a02, den_half, matter)
+        del matter
+        # A real-axis denominator zero only happens at measure-zero parameter
+        # coincidences (an undamped decoupled mode hit exactly on resonance);
+        # there the numerator shares the vanishing factor, so the ratio is
+        # recovered from an ulp-scale probe offset, for this row alone.
+        if np.any(den == 0):
+            shifted = omega * (1.0 + 1e-9)
+            if isinstance(den, np.ndarray):
+                shifted = np.where(den == 0, shifted, omega)
+            num = zeta_from_system(system, shifted, FLIP_A)
+            den = zeta_from_system(system, shifted, INPUT)
+        rows.append(num / den)
+    return rows
 
 
 def zeta(
@@ -305,11 +302,11 @@ def zeta_quartic_coeffs(
     """
     if params.bath_a.exponent_s != 0.0 or params.bath_b.exponent_s != 0.0:
         raise ValueError("quartic coefficients require ohmic baths (s = 0)")
-    bath_a, bath_b = _effective_baths(phase_data, params)
+    system = build_system(phase_data, params)
     wa, wbt, d = params.omega_a, phase_data.omega_b_tilde, phase_data.d_term
     coeffs = np.polymul(
-        [1.0, 1j * (signature.sign_a * bath_a.gamma0), -(wa**2)],
-        [1.0, 1j * (signature.sign_b * bath_b.gamma0), -(wbt**2 + 4.0 * d * wbt)],
+        [1.0, 1j * (signature.sign_a * system.bath_a.gamma0), -(wa**2)],
+        [1.0, 1j * (signature.sign_b * system.bath_b.gamma0), -(wbt**2 + 4.0 * d * wbt)],
     )
     coeffs[-1] = zeta_constant_term(phase_data, params)
     return coeffs

@@ -6,6 +6,7 @@ The reflection coefficient seen from port a is the closed-form ratio
 
 valid for arbitrary damping laws and in both phases (the superradiant phase
 carries the saturated matter damping in numerator and denominator alike).
+matrices.s11_rows evaluates it per block of grid rows; s11 is a block of one.
 The full 2x2 scattering matrix is assembled independently from the
 input-output block algebra M(A, -Gamma) M(A, Gamma)^(-1) and port weight
 factors; its (1, 1) element must reproduce S11, which the test suite uses as
@@ -21,14 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelParams, derive_phase, gamma_of
-from .matrices import (
-    INPUT,
-    OUTPUT,
-    _effective_baths,
-    build_system,
-    m_matrix,
-    s11_terms,
-)
+from .matrices import INPUT, OUTPUT, build_system, m_matrix, s11_rows
 # bench/tracer.py wraps scattering.zeta_from_system, so the name stays importable here.
 from .matrices import zeta_from_system  # noqa: F401
 from .eigen import closed_eigenfrequencies
@@ -61,24 +55,7 @@ def s11(params: ModelParams, omega):
     """
     _validate_probe(omega)
     pd = derive_phase(params)
-    return _s11_rows([build_system(pd, params)], omega)[0]
-
-
-def _s11_rows(systems, omega) -> list:
-    """S11 of each system of one s11_terms block at the probe omega."""
-    rows = []
-    for system, (num, den) in zip(systems, s11_terms(systems, omega)):
-        # A real-axis denominator zero only happens at measure-zero parameter
-        # coincidences (an undamped decoupled mode hit exactly on resonance);
-        # there the numerator shares the vanishing factor, so the ratio is
-        # recovered from an ulp-scale probe offset, for this row alone.
-        if np.any(den == 0):
-            shifted = omega * (1.0 + 1e-9)
-            if isinstance(den, np.ndarray):
-                shifted = np.where(den == 0, shifted, omega)
-            ((num, den),) = s11_terms([system], shifted)
-        rows.append(num / den)
-    return rows
+    return s11_rows([build_system(pd, params)], omega)[0]
 
 
 def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
@@ -99,9 +76,9 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     m_in = m_matrix(pd, params, omega, INPUT)
     m_out = m_matrix(pd, params, omega, OUTPUT)
     t_full = m_out @ np.linalg.inv(m_in)
-    bath_a, bath_b = _effective_baths(pd, params)
+    system = build_system(pd, params)
     freqs = (params.omega_a, pd.omega_b_tilde)
-    gammas = (gamma_of(bath_a, omega), gamma_of(bath_b, omega))
+    gammas = (gamma_of(system.bath_a, omega), gamma_of(system.bath_b, omega))
     out = np.empty((2, 2), dtype=complex)
     for j in range(2):
         for k in range(2):
@@ -205,7 +182,7 @@ def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
     params, axis, sweep, probe, linear_gamma_b, fmt, include_phase = task
     points = [resolve_point(params, axis, v, linear_gamma_b) for v in sweep.tolist()]
     phases = [derive_phase(p) for p in points]
-    values = np.vstack(_s11_rows([build_system(pd, p) for pd, p in zip(phases, points)], probe))
+    values = np.vstack(s11_rows([build_system(pd, p) for pd, p in zip(phases, points)], probe))
     labels = [pd.phase.value for pd in phases]
     if fmt is not None:
         values = _format_block(fmt, include_phase, sweep, probe, values, labels)
@@ -300,12 +277,15 @@ def find_minima(probe_frequencies, row) -> np.ndarray:
     relative floor so the ulp-level ripple of a flat unit-modulus row never
     counts; each dip is then refined by the vertex of the parabola through
     its bracketing triple, so the result does not inherit the grid pitch.
-    A monotone (or flat) row yields an empty array.
+    A monotone (or flat) row yields an empty array. The probe frequencies
+    must be strictly increasing.
     """
     x = np.asarray(probe_frequencies, dtype=float)
     y = np.abs(np.asarray(row)) ** 2
     if x.size < 3:
         raise ValueError("a row needs at least 3 points to hold an interior minimum")
+    if not np.all(np.diff(x) > 0):
+        raise ValueError("probe frequencies must be strictly increasing")
     noise = 1e-12 * max(float(np.max(y)), 1.0)
     inner = (y[1:-1] < y[:-2] - noise) & (y[1:-1] < y[2:] - noise)
     idx = np.flatnonzero(inner) + 1

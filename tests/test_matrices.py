@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from opendicke.model import BathSpec, Phase, PhaseData, derive_phase
+from opendicke.model import BathSpec, ModelParams, Phase, PhaseData, derive_phase
 from opendicke.model import _superradiant_fields
 from opendicke.scattering import resolve_point, s11, sweep_spectrum
 from opendicke.matrices import (
@@ -16,7 +16,7 @@ from opendicke.matrices import (
     build_gamma,
     build_system,
     m_matrix,
-    s11_terms,
+    s11_rows,
     zeta,
     zeta_constant_term,
     zeta_from_system,
@@ -71,14 +71,39 @@ class TestAMatrix:
         a_np = build_a_matrix(derive_phase(p), p)
         assert np.max(np.abs(a_sp - a_np)) <= 1e-14
 
+    @staticmethod
+    def literal_layout(pd, p):
+        wa = p.omega_a
+        wb, g, d = pd.omega_b_tilde, pd.g_tilde, pd.d_term
+        return np.array(
+            [
+                [wa, 0.0, g, g],
+                [0.0, -wa, -g, -g],
+                [g, g, wb + 2.0 * d, 2.0 * d],
+                [-g, -g, -2.0 * d, -wb - 2.0 * d],
+            ],
+            dtype=complex,
+        )
+
+    def test_layout_matches_the_literal_matrix_bit_for_bit(self):
+        # Row 3 negates A[2, 3] and A[2, 2] instead of writing -2 d and
+        # -omega_b~ - 2 d out: negation is exact and rounding sign-symmetric.
+        rng = np.random.default_rng(29)
+        phases = set()
+        for _ in range(100):
+            wa, wb = rng.uniform(0.2, 3.0, 2)
+            g_c = 0.5 * np.sqrt(wa * wb)
+            for g in (rng.uniform(0.0, 0.999) * g_c, g_c, rng.uniform(1.001, 3.0) * g_c):
+                p = make(omega_a=wa, omega_b=wb, g=g)
+                pd = derive_phase(p)
+                phases.add(pd.phase)
+                assert build_a_matrix(pd, p).tobytes() == self.literal_layout(pd, p).tobytes()
+        assert phases == set(Phase)
+
 
 class TestSystemEntries:
-    """zeta reads A through the four real entries cached on the system."""
-
-    @staticmethod
-    def expected(system):
-        a = system.a_matrix
-        return tuple(float(a[i, j].real) for i, j in ((0, 0), (0, 2), (2, 2), (2, 3)))
+    """zeta reads A through the four real entries each system holds, computed
+    once by build_system rather than on every zeta call."""
 
     @pytest.mark.parametrize(
         "g, phase",
@@ -86,30 +111,23 @@ class TestSystemEntries:
     )
     def test_cached_entries_equal_the_matrix(self, g, phase):
         p = make(omega_b=1.0, g=g, ga=0.2, gb=0.3, sa=-0.5, sb=0.5)
-        system = build_system(derive_phase(p), p)
-        assert system.phase is phase
-        assert system.a_entries == self.expected(system)
+        pd = derive_phase(p)
+        assert pd.phase is phase
+        system = build_system(pd, p)
+        a = build_a_matrix(pd, p)
+        assert system.a_entries == tuple(a[i, j].real for i, j in ((0, 0), (0, 2), (2, 2), (2, 3)))
         assert all(type(x) is float for x in system.a_entries)
         if phase is Phase.SUPERRADIANT:
             assert system.a_entries[2] != 1.0  # renormalized matter frequency
 
-    def test_replace_of_a_bath_rebuilds_the_entries(self):
-        p = make(omega_a=1.3, omega_b=0.7, g=0.9, ga=0.2, gb=0.3, sb=0.5)
-        system = build_system(derive_phase(p), p)
-        stepped = replace(system, bath_b=BathSpec(0.3, 0.25))
-        assert stepped.bath_b.exponent_s == 0.25
-        assert stepped.a_entries == self.expected(stepped) == system.a_entries
-        other = replace(system, a_matrix=2.0 * system.a_matrix)
-        assert other.a_entries == tuple(2.0 * x for x in system.a_entries)
+    def test_entries_are_floats_for_integer_and_numpy_inputs(self):
+        for p in (ModelParams(1, 2, 1, BathSpec(0.1), BathSpec(0.2)), make(g=np.float64(0.3))):
+            entries = build_system(derive_phase(p), p).a_entries
+            assert all(type(x) is float for x in entries)
 
-    def test_entries_are_derived_not_passed(self):
-        p = make(g=0.3)
-        system = build_system(derive_phase(p), p)
-        assert "a_entries" not in repr(system)
-        with pytest.raises(TypeError):
-            BogoliubovSystem(
-                system.phase, system.a_matrix, system.bath_a, system.bath_b, (1.0,) * 4
-            )
+    def test_fields(self):
+        names = [f.name for f in fields(BogoliubovSystem)]
+        assert names == ["a_entries", "bath_a", "bath_b"]
 
 
 class TestGammaMatrix:
@@ -334,17 +352,20 @@ def _same_bits(x, y) -> bool:
 
 
 class TestS11Terms:
-    """s11_terms shares the photon half of a block of systems, and the rate
-    rows and matter minors of each row's numerator and denominator. Every row
-    must carry the bits of the two separate zeta calls of its system alone."""
+    """s11_rows divides S11's two zeta terms. It shares the photon half of a
+    block of systems, and the rate rows and matter minors of each row's
+    numerator and denominator. Every row must carry the bits of the ratio of
+    the two separate zeta calls of its system alone."""
 
     @staticmethod
-    def assert_two_calls(systems, omega):
-        terms = list(s11_terms(systems, omega))
-        assert len(terms) == len(systems)
-        for system, (num, den) in zip(systems, terms):
-            assert _same_bits(num, zeta_from_system(system, omega, FLIP_A))
-            assert _same_bits(den, zeta_from_system(system, omega, INPUT))
+    def ratio(system, omega):
+        return zeta_from_system(system, omega, FLIP_A) / zeta_from_system(system, omega, INPUT)
+
+    def assert_ratios(self, systems, omega):
+        rows = s11_rows(systems, omega)
+        assert len(rows) == len(systems)
+        for system, row in zip(systems, rows):
+            assert _same_bits(row, self.ratio(system, omega))
 
     @staticmethod
     def block(points):
@@ -356,9 +377,9 @@ class TestS11Terms:
         p = make(omega_a=1.0, omega_b=1.2, g=g, ga=0.05, gb=0.08, sa=sa, sb=sb)
         systems = self.block([p])
         probe = np.linspace(0.01, 4.0, 2001)
-        self.assert_two_calls(systems, probe)
+        self.assert_ratios(systems, probe)
         for w in (0.01, 0.7, 1.0, 1.2, 3.9):
-            self.assert_two_calls(systems, w)
+            self.assert_ratios(systems, w)
 
     @pytest.mark.parametrize("sa, sb", [(0.0, 0.0), (-0.4, 0.5), (0.7, -0.3)])
     def test_g_sweep_block_straddles_the_transition(self, sa, sb):
@@ -368,36 +389,32 @@ class TestS11Terms:
         phases = {derive_phase(p).phase for p in points}
         assert phases == {Phase.NORMAL, Phase.SUPERRADIANT}
         systems = self.block(points)
-        self.assert_two_calls(systems, np.linspace(0.01, 4.0, 2001))
+        self.assert_ratios(systems, np.linspace(0.01, 4.0, 2001))
         for w in (0.01, 1.0, 3.9):
-            self.assert_two_calls(systems, w)
+            self.assert_ratios(systems, w)
 
     def test_ratio_sweep_block_with_linear_gamma_b(self):
         base = make(omega_a=1.0, omega_b=1.0, g=0.45, ga=0.05, gb=0.08, sa=-0.3, sb=0.4)
         points = [resolve_point(base, "ratio", v, True) for v in np.linspace(0.2, 2.0, 8)]
         assert len({p.bath_b for p in points}) == 8
         assert {derive_phase(p).phase for p in points} == {Phase.NORMAL, Phase.SUPERRADIANT}
-        self.assert_two_calls(self.block(points), np.linspace(0.01, 1.8, 2001))
+        self.assert_ratios(self.block(points), np.linspace(0.01, 1.8, 2001))
 
     def test_ulp_shift_fallback(self):
         # Decoupled, undamped matter port, probe on its resonance: the
         # denominator is exactly 0 there and S11 shifts the probe.
         p = make(g=0.0, ga=0.3, gb=0.0)
         systems = self.block([p])
-        ((_, den),) = s11_terms(systems, 1.0)
-        assert den == 0
-        probe = np.array([0.5, 1.0, 1.5])
-        ((_, den),) = s11_terms(systems, probe)
-        assert den[1] == 0
-        shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
-        for omega in (1.0, 1.0 * (1.0 + 1e-9), probe, shifted):
-            self.assert_two_calls(systems, omega)
         (system,) = systems
-        ratio = zeta_from_system(system, shifted, FLIP_A) / zeta_from_system(system, shifted, INPUT)
-        assert _same_bits(s11(p, probe), ratio)
-        w = 1.0 * (1.0 + 1e-9)
-        ratio = zeta_from_system(system, w, FLIP_A) / zeta_from_system(system, w, INPUT)
-        assert _same_bits(s11(p, 1.0), ratio)
+        assert zeta_from_system(system, 1.0, INPUT) == 0
+        probe = np.array([0.5, 1.0, 1.5])
+        assert zeta_from_system(system, probe, INPUT)[1] == 0
+        shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
+        for omega, at in ((1.0, 1.0 * (1.0 + 1e-9)), (probe, shifted)):
+            (row,) = s11_rows(systems, omega)
+            assert _same_bits(row, self.ratio(system, at))
+            assert _same_bits(s11(p, omega), row)
+            self.assert_ratios(systems, at)
 
     def test_ulp_shift_inside_a_block_leaves_its_neighbours(self):
         # The g = 0 row in the middle of the block is decoupled with an
@@ -407,16 +424,17 @@ class TestS11Terms:
         couplings = np.array([0.1, 0.2, 0.3, 0.0, 0.4, 0.6, 0.7, 0.8])
         probe = np.array([0.5, 1.0, 1.5])
         points = [resolve_point(base, "g", v, False) for v in couplings]
-        dens = [den for _, den in s11_terms(self.block(points), probe)]
+        systems = self.block(points)
+        dens = [zeta_from_system(system, probe, INPUT) for system in systems]
         assert [bool(np.any(den == 0)) for den in dens] == [False] * 3 + [True] + [False] * 4
-        grid = sweep_spectrum(base, "g", couplings, probe)
-        for p, row in zip(points, grid.values):
-            assert _same_bits(row, s11(p, probe))
-        ((num, den),) = s11_terms(self.block(points[:1]), probe)
-        assert _same_bits(grid.values[0], num / den)
+        rows = s11_rows(systems, probe)
         shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
-        ((num, den),) = s11_terms(self.block(points[3:4]), shifted)
-        assert _same_bits(grid.values[3], num / den)
+        for k, (system, row) in enumerate(zip(systems, rows)):
+            assert _same_bits(row, self.ratio(system, shifted if k == 3 else probe))
+        grid = sweep_spectrum(base, "g", couplings, probe)
+        for p, row, grid_row in zip(points, rows, grid.values):
+            assert _same_bits(grid_row, row)
+            assert _same_bits(s11(p, probe), row)
 
     def test_block_must_share_omega_a_and_the_photon_bath(self):
         p = make(g=0.2, ga=0.05, gb=0.08, sa=-0.3)
@@ -428,7 +446,7 @@ class TestS11Terms:
         probe = np.linspace(0.01, 4.0, 11)
         for other in others:
             with pytest.raises(ValueError, match="omega_a and the photon bath"):
-                s11_terms(self.block([p, p, other]), probe)
+                s11_rows(self.block([p, p, other]), probe)
 
 
 def test_m_matrix_shape_and_output_signature():

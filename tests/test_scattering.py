@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from opendicke.model import derive_phase
+from opendicke.model import BathSpec, ModelParams, derive_phase
 from opendicke.matrices import INPUT, zeta
 from opendicke.eigen import closed_eigenfrequencies, open_eigenfrequencies
 from opendicke.scattering import (
@@ -215,6 +215,19 @@ class TestFindMinima:
         with pytest.raises(ValueError):
             find_minima(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
 
+    def test_probe_must_be_strictly_increasing(self):
+        # The parabolic refinement clamps to its bracketing triple, which it
+        # reads in increasing order: a reversed grid would return a grid point.
+        x = np.linspace(0.0, 1.0, 11)
+        y = np.sqrt((x - 0.437) ** 2 + 0.01)
+        assert find_minima(x, y).size == 1
+        repeated = np.concatenate([x[:5], x[4:]])
+        swapped = x.copy()
+        swapped[[3, 4]] = swapped[[4, 3]]
+        for bad, row in ((x[::-1], y[::-1]), (repeated, np.concatenate([y[:5], y[4:]])), (swapped, y)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                find_minima(bad, row)
+
 
 class TestLambShift:
     def test_vanishes_with_damping(self):
@@ -244,6 +257,13 @@ class TestLambShift:
         assert mins.size == 1
         assert abs(lamb_shift(p_weak, "lower", probe)) > 0.09
         assert abs(lamb_shift(p_weak, "upper", probe)) > 0.09
+
+    def test_reversed_probe_raises(self):
+        p = ModelParams(1, 1, 0.3, BathSpec(0.05), BathSpec(0.075))
+        probe = np.linspace(0.5, 1.5, 201)
+        assert abs(lamb_shift(p, "lower", probe) - 0.001133) < 1e-6
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lamb_shift(p, "lower", probe[::-1])
 
     def test_no_minimum_raises(self):
         probe = np.linspace(0.1, 1.5, 200)
