@@ -392,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical", help="locate the critical coupling")
     _add_param_flags(p)
-    p.add_argument("--g-lo", type=_finite, default=0.0, help="lower bisection bracket")
-    p.add_argument("--g-hi", type=_finite, default=None, help="upper bisection bracket")
+    p.add_argument("--g-lo", type=_finite, default=0.0, help="lower end of the g_c bracket")
+    p.add_argument("--g-hi", type=_finite, default=None, help="upper end of the g_c bracket")
     _add_output_flags(p, None, fixed_format="CSV")
     p.set_defaults(func=_cmd_critical)
 

@@ -98,20 +98,21 @@ class EigenSet:
 def closed_eigenfrequencies(params: ModelParams) -> tuple[float, float]:
     """Excitation energies (lower, upper) of the lossless system.
 
-    Normal phase: the biquadratic (w^2 - omega_a^2)(w^2 - omega_b^2) =
-    4 g^2 omega_a omega_b, solved in closed form. Superradiant phase: the
-    two nonnegative eigenvalues of the renormalized dynamical matrix.
+    Both phases solve one biquadratic in closed form,
+
+        (w^2 - omega_a^2)(w^2 - B) = 4 g~^2 omega_a omega_b~,
+        B = omega_b~^2 + 4 d omega_b~,
+
+    with omega_b~, g~ and d from PhaseData: the bare omega_b and g, and
+    d = 0, at and below the transition, so there B = omega_b^2 exactly.
     """
     pd = derive_phase(params)
-    if pd.phase is not Phase.SUPERRADIANT:
-        wa2, wb2 = params.omega_a**2, params.omega_b**2
-        disc = np.sqrt((wa2 - wb2) ** 2 + 16.0 * params.g**2 * params.omega_a * params.omega_b)
-        lo2 = max(0.0, 0.5 * (wa2 + wb2 - disc))
-        hi2 = 0.5 * (wa2 + wb2 + disc)
-        return float(np.sqrt(lo2)), float(np.sqrt(hi2))
-    ev = np.linalg.eigvals(build_a_matrix(pd, params))
-    pos = np.sort(ev.real)[2:]
-    return float(max(0.0, pos[0])), float(pos[1])
+    wa, wb = params.omega_a, pd.omega_b_tilde
+    wa2, b = wa**2, wb**2 + 4.0 * pd.d_term * wb
+    disc = math.sqrt((wa2 - b) ** 2 + 16.0 * pd.g_tilde**2 * wa * wb)
+    lo2 = max(0.0, 0.5 * (wa2 + b - disc))
+    hi2 = 0.5 * (wa2 + b + disc)
+    return math.sqrt(lo2), math.sqrt(hi2)
 
 
 def _mirror(z: complex) -> complex:
@@ -374,20 +375,17 @@ def open_eigenfrequencies(params: ModelParams) -> EigenSet:
 
 
 def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None = None) -> float:
-    """Bisect the coupling where the zero-frequency term of zeta changes sign.
+    """The coupling where the zero-frequency term of zeta changes sign.
 
     That term is omega_a^2 omega_b^2 - 4 g^2 omega_a omega_b: no bath
-    quantity enters it, so the result is identical for every damping law.
+    quantity enters it, so its root is g_c = sqrt(omega_a omega_b) / 2 for
+    every damping law, returned in closed form once the bracket holds it.
     The default bracket is [0, 2 g_c]; a bracket must satisfy
     0 <= g_lo < g_hi.
     """
-    wa, wb = params.omega_a, params.omega_b
+    g_c = derive_phase(params).g_c
     if g_hi is None:
-        g_hi = float(np.sqrt(wa * wb))
-
-    def const(g: float) -> float:
-        return wa * wa * wb * wb - 4.0 * g * g * wa * wb
-
+        g_hi = 2.0 * g_c
     lo, hi = float(g_lo), float(g_hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the bisection bracket must be finite, got [{g_lo}, {g_hi}]")
@@ -395,25 +393,11 @@ def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None =
         raise ValueError(
             f"the bisection bracket must satisfy 0 <= g_lo < g_hi, got [{g_lo}, {g_hi}]"
         )
-    c_lo, c_hi = const(lo), const(hi)
-    if c_lo == 0.0:
-        return lo
-    if c_hi == 0.0:
-        return hi
-    if c_lo * c_hi > 0.0:
+    if not lo <= g_c <= hi:
         raise ValueError(
             f"no sign change of the zero-frequency term on [{g_lo}, {g_hi}]"
         )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        c_mid = const(mid)
-        if c_mid == 0.0:
-            return mid
-        if c_lo * c_mid < 0.0:
-            hi = mid
-        else:
-            lo, c_lo = mid, c_mid
-    return 0.5 * (lo + hi)
+    return g_c
 
 
 @dataclass(frozen=True)

@@ -182,12 +182,8 @@ def condensates(params: ModelParams) -> tuple[float, float]:
     the transition, zero at and below it. Only (omega_a, omega_b, g) enter;
     the bath laws cannot shift the condensates.
     """
-    lam = 4.0 * params.g**2 / (params.omega_a * params.omega_b)
-    if _classify(lam) is not Phase.SUPERRADIANT:
-        return 0.0, 0.0
-    alpha = (params.g / params.omega_a) ** 2 * (1.0 - 1.0 / lam**2)
-    beta = 0.5 * (1.0 - 1.0 / lam)
-    return alpha, beta
+    pd = derive_phase(params)
+    return pd.alpha_per_n, pd.beta_per_n
 
 
 def derive_phase(params: ModelParams) -> PhaseData:
@@ -196,13 +192,15 @@ def derive_phase(params: ModelParams) -> PhaseData:
     lam = 4.0 * g**2 / (wa * wb)
     g_c = 0.5 * math.sqrt(wa * wb)
     phase = _classify(lam)
-    alpha, beta = condensates(params)
     if phase is Phase.SUPERRADIANT:
         omega_b_tilde, g_tilde, d_term, gamma_b_tilde = _superradiant_fields(
             lam, wb, g_c, params.bath_b.gamma0
         )
+        alpha = (g / wa) ** 2 * (1.0 - 1.0 / lam**2)
+        beta = 0.5 * (1.0 - 1.0 / lam)
     else:
         omega_b_tilde, g_tilde, d_term, gamma_b_tilde = wb, g, 0.0, params.bath_b.gamma0
+        alpha = beta = 0.0
     return PhaseData(
         lam=lam,
         g_c=g_c,
@@ -249,6 +247,8 @@ class AltCouplingParams:
     f_b0: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.f_a0) and math.isfinite(self.f_b0)):
+            raise ValueError(f"coupling weights must be finite, got {self.f_a0}, {self.f_b0}")
         if self.f_a0 < 0 or self.f_b0 < 0:
             raise ValueError("coupling weights f_j(0) must be nonnegative")
 
@@ -287,6 +287,6 @@ def alt_coupling_renorm(params: ModelParams, alt: AltCouplingParams) -> AltCoupl
     if abnormal_a or abnormal_b:
         return AltCouplingResult(wa_p, wb_p, None, None, abnormal_a, abnormal_b)
     g_prime = params.g * math.sqrt(wa * wb / (wa_p * wb_p))
-    g_c = 0.5 * math.sqrt(wa * wb)
+    g_c = derive_phase(params).g_c
     g_c_prime = g_c * ((1.0 - alt.f_a0 / wa**2) * (1.0 - alt.f_b0 / wb**2)) ** 0.25
     return AltCouplingResult(wa_p, wb_p, g_prime, g_c_prime, abnormal_a, abnormal_b)

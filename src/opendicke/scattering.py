@@ -278,10 +278,12 @@ def find_minima(probe_frequencies, row) -> np.ndarray:
     counts; each dip is then refined by the vertex of the parabola through
     its bracketing triple, so the result does not inherit the grid pitch.
     A monotone (or flat) row yields an empty array. The probe frequencies
-    must be strictly increasing.
+    must be strictly increasing, one for each value of the row.
     """
     x = np.asarray(probe_frequencies, dtype=float)
     y = np.abs(np.asarray(row)) ** 2
+    if x.shape != y.shape:
+        raise ValueError(f"{x.size} probe frequencies for a row of {y.size} values")
     if x.size < 3:
         raise ValueError("a row needs at least 3 points to hold an interior minimum")
     if not np.all(np.diff(x) > 0):

@@ -20,9 +20,23 @@ class TestCritical:
     def test_detuned(self, capsys):
         rc = run(["critical", "--omega-a", "1.2"])
         assert rc == 0
-        printed = capsys.readouterr().out
-        assert len(printed.strip()) == 14  # fixed 12-decimal formatting
-        assert abs(float(printed) - 1.2**0.5 / 2.0) < 1e-11
+        assert capsys.readouterr().out == "0.547722557505\n"  # sqrt(1.2)/2 = 0.5477225575051661...
+
+    def test_detuned_digits_are_correctly_rounded(self, tmp_path, capsys):
+        # Every printed digit of g_c = sqrt(omega_a omega_b)/2 is the rounding
+        # of its 40-digit value.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        points = [(1.0, 3.0)] + [tuple(rng.uniform(0.5, 2.0, 2).tolist()) for _ in range(300)]
+        for wa, wb in points:
+            assert run(["critical", "--omega-a", repr(wa), "--omega-b", repr(wb)]) == 0
+            with mp.workdps(40):
+                digits = int(mp.nint(mp.sqrt(mp.mpf(wa) * mp.mpf(wb)) / 2 * 10**12))
+            assert capsys.readouterr().out == f"{digits // 10**12}.{digits % 10**12:012d}\n"
+        out = tmp_path / "crit.csv"
+        assert run(["critical", "--omega-b", "3", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == "0.866025403784\n"
+        assert out.read_text() == "# columns: g_star\n8.66025403784e-01\n"
 
     def test_writes_optional_file(self, tmp_path, capsys):
         out = tmp_path / "crit.csv"

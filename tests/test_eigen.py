@@ -6,7 +6,7 @@ import pytest
 
 import opendicke.eigen as eigen_mod
 from opendicke.model import Phase, derive_phase
-from opendicke.matrices import INPUT, m_matrix, zeta, zeta_quartic_coeffs
+from opendicke.matrices import INPUT, build_a_matrix, m_matrix, zeta, zeta_quartic_coeffs
 from opendicke.eigen import (
     ConvergenceError,
     closed_eigenfrequencies,
@@ -76,6 +76,32 @@ class TestClosedSpectrum:
         lo_near = closed_eigenfrequencies(make(g=0.505))[0]
         lo_far = closed_eigenfrequencies(make(g=0.6))[0]
         assert 0.0 < lo_near < lo_far
+
+    def test_superradiant_against_dynamical_matrix(self):
+        # The two nonnegative eigenvalues of the renormalized A are the
+        # closed spectrum by definition; the biquadratic must reproduce them.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            wa, wb = rng.uniform(0.5, 1.5, 2)
+            p = make(omega_a=wa, omega_b=wb, g=0.5 * math.sqrt(rng.uniform(1.02, 6.0) * wa * wb))
+            pd = derive_phase(p)
+            assert pd.phase is Phase.SUPERRADIANT
+            ref = np.sort(np.linalg.eigvals(build_a_matrix(pd, p)).real)[2:]
+            for got, want in zip(closed_eigenfrequencies(p), ref):
+                assert math.isclose(got, want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scale_covariant(self, k):
+        # Frequencies and coupling in a k times smaller unit: the energies
+        # scale by k, in both phases, away from the soft mode at g_c.
+        rng = np.random.default_rng(62)
+        for lam in np.concatenate([rng.uniform(0.0, 0.8, 20), rng.uniform(1.25, 4.0, 20)]):
+            wa, wb = rng.uniform(0.5, 1.5, 2)
+            g = 0.5 * math.sqrt(lam * wa * wb)
+            unit = closed_eigenfrequencies(make(omega_a=wa, omega_b=wb, g=g))
+            scaled = closed_eigenfrequencies(make(omega_a=k * wa, omega_b=k * wb, g=k * g))
+            for got, want in zip(scaled, unit):
+                assert math.isclose(got, k * want, rel_tol=1e-13)
 
 
 class TestOpenOhmic:
@@ -213,6 +239,17 @@ class TestLocateCritical:
         got = locate_critical(make(omega_a=1.2))
         assert abs(got - 0.5477225575051661) < 1e-12
         assert abs(got - math.sqrt(1.2) / 2.0) < 1e-12
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scale_covariant(self, k):
+        # g_c carries the unit of the frequencies, so its relative precision
+        # must not depend on k: no absolute tolerance may enter.
+        rng = np.random.default_rng(63)
+        for _ in range(50):
+            wa, wb = rng.uniform(0.5, 2.0, 2)
+            unit = locate_critical(make(omega_a=wa, omega_b=wb))
+            scaled = locate_critical(make(omega_a=k * wa, omega_b=k * wb))
+            assert math.isclose(scaled, k * unit, rel_tol=1e-15)
 
     def test_identical_across_bath_settings(self):
         results = {

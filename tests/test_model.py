@@ -263,3 +263,11 @@ class TestAltCoupling:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             AltCouplingParams(-0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # nan and inf would otherwise reach alt_coupling_renorm and come back
+        # as an "abnormal" port, a physical verdict on a meaningless input.
+        for weights in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                AltCouplingParams(*weights)

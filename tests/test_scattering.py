@@ -228,6 +228,15 @@ class TestFindMinima:
             with pytest.raises(ValueError, match="strictly increasing"):
                 find_minima(bad, row)
 
+    def test_probe_and_row_lengths_must_match(self):
+        # Unchecked, a probe grid of another length reads the row's dip index
+        # on the wrong grid (0.874 for the first case) or drops the row's tail.
+        x = np.linspace(0.0, 1.0, 101)
+        y = np.sqrt((x - 0.437) ** 2 + 0.01)
+        for probe, row in ((x[::2][:51], y), (x, y[:60]), (x[:60], y)):
+            with pytest.raises(ValueError, match="probe frequencies for a row of"):
+                find_minima(probe, row)
+
 
 class TestLambShift:
     def test_vanishes_with_damping(self):
