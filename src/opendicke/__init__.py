@@ -28,7 +28,6 @@ from .matrices import (
     m_matrix,
     zeta,
     zeta_constant_term,
-    zeta_quartic_coeffs,
 )
 from .eigen import (
     BranchTable,
@@ -89,5 +88,4 @@ __all__ = [
     "two_mode_variance",
     "zeta",
     "zeta_constant_term",
-    "zeta_quartic_coeffs",
 ]

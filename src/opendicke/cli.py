@@ -263,11 +263,7 @@ def _cmd_condensates(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
-    params = _params_from(args)
-    try:
-        g_star = locate_critical(params, args.g_lo, args.g_hi)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    g_star = locate_critical(_params_from(args))
     print(f"{g_star:.12f}")
     _save(args, f"# columns: g_star\n{_fmt(g_star)}\n", None)
     return 0
@@ -392,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical", help="locate the critical coupling")
     _add_param_flags(p)
-    p.add_argument("--g-lo", type=_finite, default=0.0, help="lower end of the g_c bracket")
-    p.add_argument("--g-hi", type=_finite, default=None, help="upper end of the g_c bracket")
     _add_output_flags(p, None, fixed_format="CSV")
     p.set_defaults(func=_cmd_critical)
 

@@ -374,30 +374,14 @@ def open_eigenfrequencies(params: ModelParams) -> EigenSet:
     return first
 
 
-def locate_critical(params: ModelParams, g_lo: float = 0.0, g_hi: float | None = None) -> float:
+def locate_critical(params: ModelParams) -> float:
     """The coupling where the zero-frequency term of zeta changes sign.
 
     That term is omega_a^2 omega_b^2 - 4 g^2 omega_a omega_b: no bath
     quantity enters it, so its root is g_c = sqrt(omega_a omega_b) / 2 for
-    every damping law, returned in closed form once the bracket holds it.
-    The default bracket is [0, 2 g_c]; a bracket must satisfy
-    0 <= g_lo < g_hi.
+    every damping law, returned in closed form.
     """
-    g_c = derive_phase(params).g_c
-    if g_hi is None:
-        g_hi = 2.0 * g_c
-    lo, hi = float(g_lo), float(g_hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"the bisection bracket must be finite, got [{g_lo}, {g_hi}]")
-    if not 0.0 <= lo < hi:
-        raise ValueError(
-            f"the bisection bracket must satisfy 0 <= g_lo < g_hi, got [{g_lo}, {g_hi}]"
-        )
-    if not lo <= g_c <= hi:
-        raise ValueError(
-            f"no sign change of the zero-frequency term on [{g_lo}, {g_hi}]"
-        )
-    return g_c
+    return derive_phase(params).g_c
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "zeta",
     "zeta_from_system",
     "s11_rows",
-    "zeta_quartic_coeffs",
     "zeta_constant_term",
 ]
 
@@ -287,29 +286,6 @@ def zeta(
 ):
     """zeta at a point or over an array of frequencies (see zeta_from_system)."""
     return zeta_from_system(build_system(phase_data, params), omega, signature)
-
-
-def zeta_quartic_coeffs(
-    phase_data: PhaseData,
-    params: ModelParams,
-    signature: ZetaSignature = INPUT,
-) -> np.ndarray:
-    """Quartic coefficients of zeta for constant rates, omega^4 first.
-
-    The product of the two port quadratics (module docstring), with the
-    signature signs on the rates and the constant term taken from
-    zeta_constant_term. Only defined for ohmic baths (s = 0 on both ports).
-    """
-    if params.bath_a.exponent_s != 0.0 or params.bath_b.exponent_s != 0.0:
-        raise ValueError("quartic coefficients require ohmic baths (s = 0)")
-    system = build_system(phase_data, params)
-    wa, wbt, d = params.omega_a, phase_data.omega_b_tilde, phase_data.d_term
-    coeffs = np.polymul(
-        [1.0, 1j * (signature.sign_a * system.bath_a.gamma0), -(wa**2)],
-        [1.0, 1j * (signature.sign_b * system.bath_b.gamma0), -(wbt**2 + 4.0 * d * wbt)],
-    )
-    coeffs[-1] = zeta_constant_term(phase_data, params)
-    return coeffs
 
 
 def zeta_constant_term(phase_data: PhaseData, params: ModelParams) -> float:

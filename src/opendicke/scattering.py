@@ -51,8 +51,10 @@ def s11(params: ModelParams, omega):
     Accepts a scalar or an array of frequencies (> 0). Total for omega > 0:
     the denominator zeros all sit strictly below the real axis except for
     the zero-frequency root at the exact critical point, which the omega > 0
-    domain never touches.
+    domain never touches. A list or tuple is read as a float array.
     """
+    if isinstance(omega, (list, tuple)):
+        omega = np.asarray(omega, dtype=float)
     _validate_probe(omega)
     pd = derive_phase(params)
     return s11_rows([build_system(pd, params)], omega)[0]

@@ -9,7 +9,7 @@ import numpy as np
 
 import opendicke.cli as cli
 from opendicke.model import AltCouplingParams, alt_coupling_renorm, condensates, derive_phase
-from opendicke.matrices import zeta, zeta_quartic_coeffs
+from opendicke.matrices import zeta
 from opendicke.eigen import (
     closed_eigenfrequencies,
     locate_critical,
@@ -19,6 +19,7 @@ from opendicke.scattering import find_minima, lamb_shift, s11
 from opendicke.squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
 from conftest import make
+from oracles import zeta_quartic_coeffs
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:

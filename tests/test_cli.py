@@ -43,20 +43,6 @@ class TestCritical:
         assert run(["critical", "-o", str(out)]) == 0
         assert out.read_text() == "# columns: g_star\n5.00000000000e-01\n"
 
-    def test_bad_bracket_is_usage_error(self, tmp_path, capsys):
-        rc = run(["critical", "--g-lo", "0.0", "--g-hi", "0.1"])
-        assert rc == 2
-        assert "sign change" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("lo, hi", [("0.7", "0.1"), ("-0.6", "0.3")])
-    def test_reversed_or_negative_bracket_is_usage_error(self, lo, hi, tmp_path, capsys):
-        out = tmp_path / "crit.csv"
-        assert run(["critical", "--g-lo", lo, "--g-hi", hi, "-o", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "0 <= g_lo < g_hi" in captured.err
-        assert not out.exists()
-
 
 class TestEigenCommand:
     def test_example_sweep(self, tmp_path, capsys):
@@ -213,6 +199,10 @@ class TestFailureModes:
         ["altcoupling", "--parallel", "2"],
         ["squeeze", "--omega", "1", "--parallel", "2"],
         ["condensates", "--parallel", "2"],
+        ["critical", "--g-lo", "0"],
+        ["critical", "--g-hi", "1"],
+        ["critical", "--g-hi", "inf"],
+        ["critical", "--g-lo", "nan"],
     ])
     def test_flag_the_command_ignores_exits_2(self, argv, tmp_path, capsys):
         out = tmp_path / "x.out"
@@ -318,8 +308,8 @@ class TestFailureModes:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["critical", "--g-hi", "inf"],
-        ["critical", "--g-lo", "nan"],
+        ["squeeze", "--omega", "1", "--psi", "inf"],
+        ["altcoupling", "--f-b0=-inf"],
         ["squeeze", "--omega", "inf"],
         ["squeeze", "--omega", "1", "--theta", "nan"],
         ["condensates", "--omega", "inf"],
@@ -330,6 +320,24 @@ class TestFailureModes:
             run(argv)
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["condensates", "--omega", "0"], "--omega must be positive, got 0.0"),
+        (["squeeze", "--omega", "0"], "--omega must be positive, got 0.0"),
+        (["eigen", "--sweep", "g:0"], "--sweep expects axis:start:stop[:points], got 'g:0'"),
+        (
+            ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.1"],
+            "--probe expects start:stop[:points], got '0.1'",
+        ),
+        (["altcoupling", "--f-a0", "-1"], "coupling weights f_j(0) must be nonnegative"),
+    ], ids=["condensates-omega", "squeeze-omega", "sweep-fields", "probe-fields", "altcoupling-f-a0"])
+    def test_command_value_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert run(argv + ["-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_convergence_failure_exits_3(self, monkeypatch, tmp_path, capsys):
         def explode(params):
@@ -392,4 +400,22 @@ class TestFailureModes:
         rc = run(["critical", "-o", str(target)])
         assert rc == 4
         assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_atomic_write_removes_its_temp_file_when_the_writer_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        target = tmp_path / "out.csv"
+
+        def write_then_fail(handle, *args, **kwargs):
+            handle.write("# partial grid\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_spectrum", write_then_fail)
+        rc = run(["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "-o", str(target)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {target}: No space left on device\n"
+        assert not target.exists()
+        assert list(tmp_path.glob(".opendicke-*.tmp")) == []
         assert list(tmp_path.iterdir()) == []

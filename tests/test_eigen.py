@@ -6,7 +6,7 @@ import pytest
 
 import opendicke.eigen as eigen_mod
 from opendicke.model import Phase, derive_phase
-from opendicke.matrices import INPUT, build_a_matrix, m_matrix, zeta, zeta_quartic_coeffs
+from opendicke.matrices import INPUT, build_a_matrix, m_matrix, zeta
 from opendicke.eigen import (
     ConvergenceError,
     closed_eigenfrequencies,
@@ -17,6 +17,7 @@ from opendicke.eigen import (
 )
 
 from conftest import make
+from oracles import zeta_quartic_coeffs
 
 
 def biquadratic_roots(wa, wb, g):
@@ -259,23 +260,6 @@ class TestLocateCritical:
         }
         assert len(results) == 1
 
-    def test_no_bracket_raises(self):
-        with pytest.raises(ValueError):
-            locate_critical(make(), g_lo=0.0, g_hi=0.2)
-
-    def test_exact_endpoint(self):
-        assert locate_critical(make(), g_lo=0.5, g_hi=1.0) == 0.5
-
-    @pytest.mark.parametrize("lo, hi", [(0.7, 0.1), (-0.6, 0.3), (0.4, 0.4), (1.0, 0.5)])
-    def test_reversed_or_negative_bracket_raises(self, lo, hi):
-        with pytest.raises(ValueError, match="0 <= g_lo < g_hi"):
-            locate_critical(make(), g_lo=lo, g_hi=hi)
-
-    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (math.nan, 1.0)])
-    def test_non_finite_bracket_raises(self, lo, hi):
-        with pytest.raises(ValueError, match="finite"):
-            locate_critical(make(), g_lo=lo, g_hi=hi)
-
 
 class TestSweep:
     def test_gap_interval_contains_critical(self):
@@ -334,6 +318,8 @@ class TestSweep:
             sweep_eigenfrequencies(make(), "g", np.array([0.3, 0.1]))
         with pytest.raises(ValueError):
             sweep_eigenfrequencies(make(), "ratio", np.array([0.1, 0.3]))
+        with pytest.raises(ValueError, match="sweep grid must be nonempty"):
+            sweep_eigenfrequencies(make(), "g", [])
 
     def test_failure_reports_grid_point(self, monkeypatch):
         def explode(params):

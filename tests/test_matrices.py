@@ -20,10 +20,10 @@ from opendicke.matrices import (
     zeta,
     zeta_constant_term,
     zeta_from_system,
-    zeta_quartic_coeffs,
 )
 
 from conftest import make
+from oracles import zeta_quartic_coeffs
 
 SIGMA = np.diag([1.0, -1.0, 1.0, -1.0])
 

@@ -61,6 +61,13 @@ class TestS11:
             val = s11(make(g=g, ga=0.3, gb=0.2), 1e-6)
             assert abs(val - 1.0) < 1e-6
 
+    def test_list_and_tuple_probes_equal_the_array_call(self):
+        p = make(g=0.3, ga=0.3, gb=0.2)
+        probe = [0.5, 1.0, 1.37]
+        want = s11(p, np.array(probe))
+        assert np.array_equal(s11(p, probe), want)
+        assert np.array_equal(s11(p, tuple(probe)), want)
+
     def test_rejects_nonpositive_probe(self):
         with pytest.raises(ValueError):
             s11(make(ga=0.1), 0.0)
