@@ -5,10 +5,12 @@ couplings and rates are read in units of omega_a), writes its dataset
 atomically (temp file + rename), and prints a one-line summary. CSV numbers
 are fixed at 12 significant digits and JSON floats use the shortest
 round-trip repr, so identical invocations produce byte-identical files
-regardless of the worker count.
+regardless of the worker count. Without -o, eigen and spectrum write
+<command>.<format>.
 
-Exit codes: 0 success, 2 invalid usage, 3 numerical non-convergence,
-4 output I/O failure.
+Exit codes: 0 success, 2 invalid usage (main turns every ValueError, from
+the CLI's flag grammar or a library check, into one `error:` line), 3
+numerical non-convergence, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -48,26 +50,22 @@ PARALLEL_ENV = "DICKE_PARALLEL"
 EIGEN_BLOCK = 16  # sweep points per eigen pool task
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_range(text: str, name: str, fields: list[str], default_points: int) -> np.ndarray:
     """The start:stop[:points] fields of a --name value as an increasing grid."""
     try:
         points = int(fields[2]) if len(fields) == 3 else default_points
     except ValueError as exc:
-        raise UsageError(f"bad point count in --{name} {text!r}") from exc
+        raise ValueError(f"bad point count in --{name} {text!r}") from exc
     try:
         lo, hi = float(fields[0]), float(fields[1])
     except ValueError as exc:
-        raise UsageError(f"bad bounds in --{name} {text!r}") from exc
+        raise ValueError(f"bad bounds in --{name} {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"--{name} bounds must be finite, got {text!r}")
+        raise ValueError(f"--{name} bounds must be finite, got {text!r}")
     if points < 2:
-        raise UsageError(f"--{name} needs at least 2 points, got {points}")
+        raise ValueError(f"--{name} needs at least 2 points, got {points}")
     if not hi > lo:
-        raise UsageError(f"--{name} range must be increasing, got {text!r}")
+        raise ValueError(f"--{name} range must be increasing, got {text!r}")
     return np.linspace(lo, hi, points)
 
 
@@ -77,16 +75,16 @@ def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> tuple[str, np.nd
     is a usage error before any work starts."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
-        raise UsageError(f"--sweep expects axis:start:stop[:points], got {text!r}")
+        raise ValueError(f"--sweep expects axis:start:stop[:points], got {text!r}")
     values = _parse_range(text, "sweep", parts[1:], 400)
     axis = parts[0].replace("-", "_")
     if axis not in allowed:
-        raise UsageError(f"sweep axis must be one of {allowed}, got {axis!r}")
+        raise ValueError(f"sweep axis must be one of {allowed}, got {axis!r}")
     for value in values:
         try:
             point(axis, float(value))
         except ValueError as exc:
-            raise UsageError(
+            raise ValueError(
                 f"--sweep {text!r} leaves the model's domain at {axis} = {float(value)}: {exc}"
             ) from exc
     return axis, values
@@ -95,24 +93,21 @@ def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> tuple[str, np.nd
 def _parse_probe(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise UsageError(f"--probe expects start:stop[:points], got {text!r}")
+        raise ValueError(f"--probe expects start:stop[:points], got {text!r}")
     probe = _parse_range(text, "probe", parts, 2000)
     if not probe[0] > 0:
-        raise UsageError(f"probe lower bound must be positive, got {float(probe[0])}")
+        raise ValueError(f"probe lower bound must be positive, got {float(probe[0])}")
     return probe
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
-    try:
-        return ModelParams(
-            omega_a=args.omega_a,
-            omega_b=args.omega_b,
-            g=args.g,
-            bath_a=BathSpec(args.gamma_a, args.s_a),
-            bath_b=BathSpec(args.gamma_b, args.s_b),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ModelParams(
+        omega_a=args.omega_a,
+        omega_b=args.omega_b,
+        g=args.g,
+        bath_a=BathSpec(args.gamma_a, args.s_a),
+        bath_b=BathSpec(args.gamma_b, args.s_b),
+    )
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -123,9 +118,9 @@ def _workers(args: argparse.Namespace) -> int:
         try:
             n = int(text)
         except ValueError as exc:
-            raise UsageError(f"{source} must be an integer, got {text!r}") from exc
+            raise ValueError(f"{source} must be an integer, got {text!r}") from exc
     if n < 1:
-        raise UsageError(f"{source} must be >= 1, got {n}")
+        raise ValueError(f"{source} must be >= 1, got {n}")
     return n
 
 
@@ -209,15 +204,11 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    if args.include_phase_labels and args.format == "json":
-        raise UsageError("--include-phase-labels needs --format csv; JSON has phase_labels")
     axis, values = _parse_sweep(
         args.sweep,
         ("g", "ratio"),
         lambda a, v: resolve_point(params, a, v, args.linear_gamma_b),
     )
-    if args.linear_gamma_b and axis != "ratio":
-        raise UsageError(f"--linear-gamma-b needs a ratio --sweep, got axis {axis!r}")
     probe = _parse_probe(args.probe)
     workers = _workers(args)
     _atomic_write(
@@ -249,8 +240,6 @@ def _cmd_condensates(args: argparse.Namespace) -> int:
         ("beta_per_n", pd.beta_per_n),
     ]
     if args.omega is not None:
-        if not args.omega > 0:
-            raise UsageError(f"--omega must be positive, got {args.omega}")
         rows.append(("sigma_a_per_n", bath_condensate_density(params, "a", args.omega)))
         rows.append(("sigma_b_per_n", bath_condensate_density(params, "b", args.omega)))
     print(f"phase: {pd.phase.value}")
@@ -272,16 +261,14 @@ def _cmd_critical(args: argparse.Namespace) -> int:
 def _cmd_squeeze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    if not args.omega > 0:
-        raise UsageError(f"--omega must be positive, got {args.omega}")
     if args.phi_points < 1:
-        raise UsageError(f"--phi-points must be >= 1, got {args.phi_points}")
-    vacuum = 1.0 / (2.0 * args.omega)
+        raise ValueError(f"--phi-points must be >= 1, got {args.phi_points}")
     phis = np.linspace(0.0, 2.0 * np.pi, args.phi_points, endpoint=False).tolist()
     variance_of = two_mode_variance if args.theta != 0.0 else quadrature_variance
     variances = [
         variance_of(params, QuadratureSpec(args.omega, phi, args.theta, args.psi)) for phi in phis
     ]
+    vacuum = 1.0 / (2.0 * args.omega)  # QuadratureSpec has checked omega > 0
     print(f"variance min/max over phi: {min(variances):.12g} / {max(variances):.12g}")
     print(f"vacuum reference 1/(2 omega): {vacuum:.12g}")
     csv = f"# omega={_fmt(args.omega)} theta={_fmt(args.theta)} psi={_fmt(args.psi)}\n"
@@ -301,11 +288,7 @@ def _cmd_squeeze(args: argparse.Namespace) -> int:
 
 def _cmd_altcoupling(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    try:
-        alt = AltCouplingParams(args.f_a0, args.f_b0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    res = alt_coupling_renorm(params, alt)
+    res = alt_coupling_renorm(params, AltCouplingParams(args.f_a0, args.f_b0))
     doc = {
         "omega_a_prime": res.omega_a_prime,
         "omega_b_prime": res.omega_b_prime,
@@ -320,15 +303,6 @@ def _cmd_altcoupling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finite(text: str) -> float:
-    # Flag type for the command-specific numbers; the model dials stay plain
-    # floats because ModelParams and BathSpec reject non-finite values.
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega-a", type=float, default=1.0, help="bare frequency of subsystem a")
     parser.add_argument("--omega-b", type=float, default=1.0, help="bare frequency of subsystem b")
@@ -341,17 +315,19 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(
     parser: argparse.ArgumentParser,
-    default: str | None,
+    stem: str | None,
     fixed_format: str | None = None,
     parallel: bool = False,
 ) -> None:
     """-o on every command; --format unless the command writes one
-    fixed_format; --parallel on the commands that fan work out."""
+    fixed_format; --parallel on the commands that fan work out. A command
+    with a stem writes stem.csv or stem.json without -o (see main)."""
     written_as = "" if fixed_format is None else f", written as {fixed_format}"
-    parser.add_argument("-o", "--output", default=default, help="output file path" + written_as)
+    parser.add_argument("-o", "--output", help="output file path" + written_as)
+    parser.set_defaults(stem=stem)
     if fixed_format is None:
-        # A command without a default file takes --format only with -o (see main).
-        default_format = None if default is None else "csv"
+        # A command without a default file takes --format only with -o.
+        default_format = None if stem is None else "csv"
         parser.add_argument("--format", choices=("csv", "json"), default=default_format)
     if parallel:
         help_text = f"worker process count (default ${PARALLEL_ENV} or 1)"
@@ -368,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="sweep the open-system complex eigenfrequencies")
     _add_param_flags(p)
     p.add_argument("--sweep", required=True, help="axis:start:stop[:points], axis g or omega_b")
-    _add_output_flags(p, "eigen.csv", parallel=True)
+    _add_output_flags(p, "eigen", parallel=True)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("spectrum", help="sweep the port-a reflection spectrum")
@@ -377,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", required=True, help="start:stop[:points], probe frequencies > 0")
     p.add_argument("--linear-gamma-b", action="store_true", help="scale gamma_b with a ratio sweep")
     p.add_argument("--include-phase-labels", action="store_true", help="add a CSV phase column")
-    _add_output_flags(p, "spectrum.csv", parallel=True)
+    _add_output_flags(p, "spectrum", parallel=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("condensates", help="phase data and macroscopic occupations")
     _add_param_flags(p)
-    p.add_argument("--omega", type=_finite, default=None, help="also report bath densities at omega")
+    p.add_argument("--omega", type=float, default=None, help="also report bath densities at omega")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_condensates)
 
@@ -393,17 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("squeeze", help="output-quadrature vacuum variance over a phi grid")
     _add_param_flags(p)
-    p.add_argument("--omega", type=_finite, required=True, help="probe frequency")
-    p.add_argument("--theta", type=_finite, default=0.0, help="two-port mixing angle")
-    p.add_argument("--psi", type=_finite, default=0.0, help="two-port relative phase")
+    p.add_argument("--omega", type=float, required=True, help="probe frequency")
+    p.add_argument("--theta", type=float, default=0.0, help="two-port mixing angle")
+    p.add_argument("--psi", type=float, default=0.0, help="two-port relative phase")
     p.add_argument("--phi-points", type=int, default=64, help="phi grid size")
     _add_output_flags(p, None)
     p.set_defaults(func=_cmd_squeeze)
 
     p = sub.add_parser("altcoupling", help="renormalization for the bilinear bath coupling")
     _add_param_flags(p)
-    p.add_argument("--f-a0", type=_finite, default=0.0, help="port-a static coupling weight")
-    p.add_argument("--f-b0", type=_finite, default=0.0, help="port-b static coupling weight")
+    p.add_argument("--f-a0", type=float, default=0.0, help="port-a static coupling weight")
+    p.add_argument("--f-b0", type=float, default=0.0, help="port-b static coupling weight")
     _add_output_flags(p, None, fixed_format="JSON")
     p.set_defaults(func=_cmd_altcoupling)
     return parser
@@ -414,9 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.output is None and getattr(args, "format", None):
-            raise UsageError(f"--format needs -o: {args.command} writes no file without it")
+            if args.stem is None:
+                raise ValueError(f"--format needs -o: {args.command} writes no file without it")
+            args.output = f"{args.stem}.{args.format}"
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

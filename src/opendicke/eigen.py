@@ -438,6 +438,8 @@ def sweep_eigenfrequencies(
         raise ValueError("sweep grid must be nonempty")
     if np.any(np.diff(values) < 0):
         raise ValueError("sweep grid must be sorted ascending")
+    if eigensets is not None and len(eigensets) != values.size:
+        raise ValueError(f"{len(eigensets)} eigensets for a sweep grid of {values.size} values")
 
     n = values.size
     cols = {lab: np.empty(n, dtype=complex) for lab in _LABELS}

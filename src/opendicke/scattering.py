@@ -195,6 +195,8 @@ def _computed_blocks(params, axis, sweep, probe, linear_gamma_b, workers, fmt, i
     """The checked grids and, lazily and in order, _spectrum_block's results."""
     if axis not in ("g", "ratio"):
         raise ValueError(f"spectrum axis must be 'g' or 'ratio', got {axis!r}")
+    if linear_gamma_b and axis != "ratio":
+        raise ValueError(f"linear_gamma_b scales gamma_b along a 'ratio' sweep, got axis {axis!r}")
     sweep = np.asarray(sweep, dtype=float)
     probe = np.asarray(probe, dtype=float)
     if sweep.size == 0 or probe.size == 0:
@@ -219,10 +221,10 @@ def sweep_spectrum(
     """Fill an S11 grid row by row, the phase auto-selected per sweep value.
 
     axis is either 'g' (coupling sweep) or 'ratio' (omega_b / omega_a sweep,
-    the experimentally natural knob). With linear_gamma_b the matter damping
-    amplitude scales proportionally to omega_b along a ratio sweep. Rows are
-    independent, so workers > 1 fans blocks of them out to a process pool;
-    assembly is order preserving either way.
+    the experimentally natural knob). With linear_gamma_b, on a ratio sweep
+    only, the matter damping amplitude scales proportionally to omega_b. Rows
+    are independent, so workers > 1 fans blocks of them out to a process
+    pool; assembly is order preserving either way.
     """
     sweep, probe, blocks = _computed_blocks(
         params, axis, sweep_values, probe_frequencies, linear_gamma_b, workers, None, False
@@ -248,11 +250,13 @@ def write_spectrum(
     workers: int = 1,
 ) -> None:
     """Write sweep_spectrum's grid as fmt 'csv' or 'json': the bytes of
-    to_csv, or of to_json and a newline. Each pool task computes and
-    formats FORMAT_ROWS rows, whose text is written in order as it arrives,
-    so the grid is never held."""
+    to_csv (include_phase is CSV only), or of to_json and a newline. Each
+    pool task computes and formats FORMAT_ROWS rows, whose text is written
+    in order as it arrives, so the grid is never held."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"spectrum file format must be 'csv' or 'json', got {fmt!r}")
+    if include_phase and fmt == "json":
+        raise ValueError("include_phase is a CSV column; JSON always has phase_labels")
     sweep, probe, blocks = _computed_blocks(
         params, axis, sweep_values, probe_frequencies, linear_gamma_b, workers, fmt, include_phase
     )

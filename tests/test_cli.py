@@ -91,6 +91,15 @@ class TestEigenCommand:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 7
 
+    def test_default_output_name_follows_the_format(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["eigen", "--gamma-a", "0.2", "--sweep", "g:0:0.3:5"]
+        assert run(argv + ["--format", "json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["eigen.json"]
+        assert json.loads((tmp_path / "eigen.json").read_text())["axis"] == "g"
+        assert run(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eigen.csv", "eigen.json"]
+
 
 class TestSpectrumCommand:
     def test_example_grid(self, tmp_path, capsys):
@@ -132,6 +141,14 @@ class TestSpectrumCommand:
         rc = run(["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1.0:4"])
         assert rc == 0
         assert (tmp_path / "spectrum.csv").exists()
+
+    def test_default_output_name_follows_the_format(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1.0:4"]
+        assert run(argv + ["--format", "json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["spectrum.json"]
+        assert run(argv + ["--format", "json", "-o", "b.json"]) == 0
+        assert (tmp_path / "spectrum.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestOtherCommands:
@@ -261,16 +278,16 @@ class TestFailureModes:
         argv = ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "--format", "json"]
         assert run(argv + ["--include-phase-labels", "-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "--include-phase-labels" in err and "--format" in err
-        assert not out.exists()
+        assert err == "error: include_phase is a CSV column; JSON always has phase_labels\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_linear_gamma_b_on_a_g_sweep_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         argv = ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "--linear-gamma-b"]
         assert run(argv + ["-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "--linear-gamma-b" in err and "--sweep" in err
-        assert not out.exists()
+        assert err == "error: linear_gamma_b scales gamma_b along a 'ratio' sweep, got axis 'g'\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["condensates"], ["squeeze", "--omega", "1"]])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -307,30 +324,42 @@ class TestFailureModes:
         assert run(["spectrum", "--s-b", "inf", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4"]) == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["squeeze", "--omega", "1", "--psi", "inf"],
-        ["altcoupling", "--f-b0=-inf"],
-        ["squeeze", "--omega", "inf"],
-        ["squeeze", "--omega", "1", "--theta", "nan"],
-        ["condensates", "--omega", "inf"],
-        ["altcoupling", "--f-a0", "nan"],
-    ])
-    def test_non_finite_command_flag(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
-        assert "must be finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        (["squeeze", "--omega", "1", "--psi", "inf"], "quadrature angle psi must be finite, got inf"),
+        (["altcoupling", "--f-b0=-inf"], "coupling weights must be finite, got 0.0, -inf"),
+        (["squeeze", "--omega", "inf"], "probe frequency must be finite and positive, got inf"),
+        (
+            ["squeeze", "--omega", "1", "--theta", "nan"],
+            "quadrature angle theta must be finite, got nan",
+        ),
+        (["condensates", "--omega", "inf"], "bath density requires a finite omega > 0, got inf"),
+        (["altcoupling", "--f-a0", "nan"], "coupling weights must be finite, got nan, 0.0"),
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_non_finite_command_flag(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert run(argv + ["-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["condensates", "--omega", "0"], "--omega must be positive, got 0.0"),
-        (["squeeze", "--omega", "0"], "--omega must be positive, got 0.0"),
+        (["condensates", "--omega", "0"], "bath density requires a finite omega > 0, got 0.0"),
+        (["squeeze", "--omega", "0"], "probe frequency must be finite and positive, got 0.0"),
         (["eigen", "--sweep", "g:0"], "--sweep expects axis:start:stop[:points], got 'g:0'"),
         (
             ["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.1"],
             "--probe expects start:stop[:points], got '0.1'",
         ),
         (["altcoupling", "--f-a0", "-1"], "coupling weights f_j(0) must be nonnegative"),
-    ], ids=["condensates-omega", "squeeze-omega", "sweep-fields", "probe-fields", "altcoupling-f-a0"])
+        (
+            ["squeeze", "--g", "0.4", "--gamma-b", "0", "--theta", "0.3", "--omega", "1"],
+            "the scattering matrix requires both port couplings positive",
+        ),
+    ], ids=[
+        "condensates-omega", "squeeze-omega", "sweep-fields", "probe-fields", "altcoupling-f-a0",
+        "two-port-squeeze-gamma-b",
+    ])
     def test_command_value_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.out"
         assert run(argv + ["-o", str(out)]) == 2

@@ -321,6 +321,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep grid must be nonempty"):
             sweep_eigenfrequencies(make(), "g", [])
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_eigensets_must_match_the_grid(self, count):
+        eigensets = [open_eigenfrequencies(make(g=0.2))] * count
+        with pytest.raises(ValueError, match=f"{count} eigensets for a sweep grid of 2 values"):
+            sweep_eigenfrequencies(make(), "g", [0.2, 0.3], eigensets=eigensets)
+
     def test_failure_reports_grid_point(self, monkeypatch):
         def explode(params):
             raise ConvergenceError("boom", 0.1 + 0.0j, 1.0)

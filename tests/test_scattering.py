@@ -16,6 +16,7 @@ from opendicke.scattering import (
     s11,
     s_matrix,
     sweep_spectrum,
+    write_spectrum,
 )
 
 from conftest import make
@@ -174,6 +175,17 @@ class TestSweepSpectrum:
             sweep_spectrum(make(), "g", [], [0.5])
         with pytest.raises(ValueError):
             sweep_spectrum(make(), "g", [0.1], [0.0, 0.5])
+
+    def test_linear_gamma_b_needs_a_ratio_sweep(self):
+        message = "linear_gamma_b scales gamma_b along a 'ratio' sweep, got axis 'g'"
+        with pytest.raises(ValueError, match=message):
+            sweep_spectrum(make(), "g", [0.1], [0.5], linear_gamma_b=True)
+
+    def test_phase_column_is_csv_only(self):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="include_phase is a CSV column; JSON always has"):
+            write_spectrum(out, "json", make(), "g", [0.1], [0.5], include_phase=True)
+        assert out.getvalue() == ""
 
     def test_reflection_dips_track_polaritons_in_g(self):
         probe = np.linspace(0.01, 1.8, 2000)
