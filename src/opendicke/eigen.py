@@ -104,14 +104,15 @@ def closed_eigenfrequencies(params: ModelParams) -> tuple[float, float]:
         B = omega_b~^2 + 4 d omega_b~,
 
     with omega_b~, g~ and d from PhaseData: the bare omega_b and g, and
-    d = 0, at and below the transition, so there B = omega_b^2 exactly.
+    d = 0, at and below the transition, so there B = omega_b^2 exactly. The
+    lower root is zeta(0) / hi^2 by Vieta, free of the cancellation in lo^2.
     """
     pd = derive_phase(params)
     wa, wb = params.omega_a, pd.omega_b_tilde
     wa2, b = wa**2, wb**2 + 4.0 * pd.d_term * wb
     disc = math.sqrt((wa2 - b) ** 2 + 16.0 * pd.g_tilde**2 * wa * wb)
-    lo2 = max(0.0, 0.5 * (wa2 + b - disc))
     hi2 = 0.5 * (wa2 + b + disc)
+    lo2 = max(0.0, zeta_constant_term(pd, params)) / hi2
     return math.sqrt(lo2), math.sqrt(hi2)
 
 
@@ -434,6 +435,8 @@ def sweep_eigenfrequencies(
     if axis not in ("g", "omega_b"):
         raise ValueError(f"sweep axis must be 'g' or 'omega_b', got {axis!r}")
     values = np.asarray(grid, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"sweep grid must be 1-D, got shape {values.shape}")
     if values.size == 0:
         raise ValueError("sweep grid must be nonempty")
     if np.any(np.diff(values) < 0):

@@ -39,8 +39,17 @@ __all__ = [
 ]
 
 
+def _grid(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) or arr.ndim != 1:
+        raise ValueError(f"{name} must be real and 1-D, got {arr.dtype} of shape {arr.shape}")
+    return arr.astype(float, copy=False)
+
+
 def _validate_probe(omega) -> None:
     arr = np.asarray(omega)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"probe frequencies must be real, got {arr.dtype}")
     if not np.all(np.isfinite(arr) & (arr > 0)):
         raise ValueError("probe frequencies must be finite and positive")
 
@@ -53,9 +62,9 @@ def s11(params: ModelParams, omega):
     the zero-frequency root at the exact critical point, which the omega > 0
     domain never touches. A list or tuple is read as a float array.
     """
+    _validate_probe(omega)
     if isinstance(omega, (list, tuple)):
         omega = np.asarray(omega, dtype=float)
-    _validate_probe(omega)
     pd = derive_phase(params)
     return s11_rows([build_system(pd, params)], omega)[0]
 
@@ -71,6 +80,8 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     attaching the 2 / (lam + 1) condensate factor to the bare law). Both
     port couplings must be positive, otherwise the weights are singular.
     """
+    if np.ndim(omega) != 0:
+        raise ValueError(f"s_matrix takes one probe frequency omega, got shape {np.shape(omega)}")
     _validate_probe(omega)
     if params.bath_a.gamma0 <= 0 or params.bath_b.gamma0 <= 0:
         raise ValueError("the scattering matrix requires both port couplings positive")
@@ -197,8 +208,7 @@ def _computed_blocks(params, axis, sweep, probe, linear_gamma_b, workers, fmt, i
         raise ValueError(f"spectrum axis must be 'g' or 'ratio', got {axis!r}")
     if linear_gamma_b and axis != "ratio":
         raise ValueError(f"linear_gamma_b scales gamma_b along a 'ratio' sweep, got axis {axis!r}")
-    sweep = np.asarray(sweep, dtype=float)
-    probe = np.asarray(probe, dtype=float)
+    sweep, probe = _grid(sweep, "sweep grid"), _grid(probe, "probe grid")
     if sweep.size == 0 or probe.size == 0:
         raise ValueError("sweep and probe grids must be nonempty")
     _validate_probe(probe)
@@ -284,12 +294,12 @@ def find_minima(probe_frequencies, row) -> np.ndarray:
     counts; each dip is then refined by the vertex of the parabola through
     its bracketing triple, so the result does not inherit the grid pitch.
     A monotone (or flat) row yields an empty array. The probe frequencies
-    must be strictly increasing, one for each value of the row.
+    must be a real, strictly increasing 1-D grid, one for each row value.
     """
-    x = np.asarray(probe_frequencies, dtype=float)
+    x = _grid(probe_frequencies, "probe frequencies")
     y = np.abs(np.asarray(row)) ** 2
     if x.shape != y.shape:
-        raise ValueError(f"{x.size} probe frequencies for a row of {y.size} values")
+        raise ValueError(f"{x.size} probe frequencies for a row of shape {y.shape}")
     if x.size < 3:
         raise ValueError("a row needs at least 3 points to hold an interior minimum")
     if not np.all(np.diff(x) > 0):
@@ -311,7 +321,8 @@ def lamb_shift(params: ModelParams, branch: str, probe_frequencies) -> float:
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     lo, hi = closed_eigenfrequencies(params)
     target = lo if branch == "lower" else hi
-    minima = find_minima(probe_frequencies, s11(params, np.asarray(probe_frequencies, dtype=float)))
+    probe = _grid(probe_frequencies, "probe frequencies")
+    minima = find_minima(probe, s11(params, probe))
     if minima.size == 0:
         raise ValueError(f"no reflection minimum on the probe grid for branch {branch!r}")
     nearest = minima[np.argmin(np.abs(minima - target))]

@@ -1,5 +1,6 @@
 import math
 import pickle
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def biquadratic_roots(wa, wb, g):
     disc = math.sqrt(s * s - 4.0 * prod)
     lo2, hi2 = (s - disc) / 2.0, (s + disc) / 2.0
     return math.sqrt(max(lo2, 0.0)), math.sqrt(hi2)
+
+
+def decimal_closed_roots(params):
+    """The biquadratic's roots at 50 digits from the same PhaseData doubles."""
+    pd = derive_phase(params)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        wa, wb, g, d = map(Decimal, (params.omega_a, pd.omega_b_tilde, pd.g_tilde, pd.d_term))
+        wa2, b = wa * wa, wb * wb + 4 * d * wb
+        disc = ((wa2 - b) ** 2 + 16 * g * g * wa * wb).sqrt()
+        return ((wa2 + b - disc) / 2).sqrt(), ((wa2 + b + disc) / 2).sqrt()
 
 
 def open_eigenfrequencies_companion(params):
@@ -72,6 +84,23 @@ class TestClosedSpectrum:
         lo, hi = closed_eigenfrequencies(p)
         assert abs(lo - lo_ref) < 1e-12 and abs(hi - hi_ref) < 1e-12
         assert lo > 0.0
+
+    @pytest.mark.parametrize(
+        "wa, wb, lam, hi_bits",
+        [
+            (0.5, 2.0, 50.0, "0x1.900000218e265p+6"),
+            (0.2, 3.0, 3.0, "0x1.200206091c259p+3"),
+            (0.2, 3.0, 0.9, "0x1.80c47fa9a26a8p+1"),
+        ],
+    )
+    def test_lower_root_is_free_of_cancellation(self, wa, wb, lam, hi_bits):
+        # lo^2 = (wa^2 + B - disc) / 2 lost 1e-13 to 9e-13 here; Vieta's
+        # zeta(0) / hi^2 keeps the lower root to an ulp or two.
+        p = make(omega_a=wa, omega_b=wb, g=0.5 * math.sqrt(lam * wa * wb))
+        lo, hi = closed_eigenfrequencies(p)
+        ref_lo, _ = decimal_closed_roots(p)
+        assert abs(Decimal(lo) - ref_lo) <= Decimal("2e-15") * ref_lo
+        assert hi == float.fromhex(hi_bits)
 
     def test_rises_again_in_superradiant_phase(self):
         lo_near = closed_eigenfrequencies(make(g=0.505))[0]
@@ -320,6 +349,13 @@ class TestSweep:
             sweep_eigenfrequencies(make(), "ratio", np.array([0.1, 0.3]))
         with pytest.raises(ValueError, match="sweep grid must be nonempty"):
             sweep_eigenfrequencies(make(), "g", [])
+
+    @pytest.mark.parametrize(
+        "grid, shape", [([[0.1, 0.2]], r"\(1, 2\)"), (0.1, r"\(\)")], ids=["2d", "scalar"]
+    )
+    def test_grid_must_be_one_dimensional(self, grid, shape):
+        with pytest.raises(ValueError, match=f"sweep grid must be 1-D, got shape {shape}"):
+            sweep_eigenfrequencies(make(), "g", grid)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_eigensets_must_match_the_grid(self, count):

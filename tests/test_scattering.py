@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,65 @@ class TestLambShift:
             lamb_shift(make(g=0.3, ga=0.1, gb=0.0), "lower", probe)
         with pytest.raises(ValueError):
             lamb_shift(make(g=0.3, ga=0.1, gb=0.1), "sideways", probe)
+
+
+P_DIPS = make(g=0.3, ga=0.1, gb=0.2)
+PROBE = np.linspace(0.1, 2.0, 50)
+
+
+class TestRealOneDimensionalInputs:
+    """Complex probes are rejected before any cast, and every grid is 1-D;
+    s11 alone stays elementwise over any shape."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: s11(P_DIPS, 1 + 1j), "probe frequencies"),
+            (lambda: s11(P_DIPS, [1 + 1j]), "probe frequencies"),
+            (lambda: s_matrix(P_DIPS, 1 + 1j), "probe frequencies"),
+            (lambda: sweep_spectrum(P_DIPS, "g", [0.1, 0.2], PROBE + 0.01j), "probe grid"),
+            (lambda: lamb_shift(P_DIPS, "lower", PROBE + 0.01j), "probe frequencies"),
+            (lambda: find_minima(PROBE + 0.01j, s11(P_DIPS, PROBE)), "probe frequencies"),
+        ],
+        ids=["s11", "s11-list", "s_matrix", "sweep_spectrum", "lamb_shift", "find_minima"],
+    )
+    def test_complex_probe_is_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be real.*, got complex128"):
+            call()
+
+    def test_s_matrix_takes_one_frequency(self):
+        with pytest.raises(ValueError, match=r"one probe frequency omega, got shape \(1,\)"):
+            s_matrix(P_DIPS, np.array([1.0]))
+
+    def test_find_minima_needs_a_1d_row(self):
+        row = s11(P_DIPS, PROBE)
+        assert np.allclose(find_minima(PROBE, row), [0.642, 1.252], atol=1e-3)
+        for shape in ((1, 50), (50, 1)):
+            assert np.array_equal(s11(P_DIPS, PROBE.reshape(shape)), row.reshape(shape))
+            message = "probe frequencies must be real and 1-D, got float64 of shape "
+            with pytest.raises(ValueError, match=message + re.escape(str(shape))):
+                find_minima(PROBE.reshape(shape), row.reshape(shape))
+        with pytest.raises(ValueError, match=r"50 probe frequencies for a row of shape \(1, 50\)"):
+            find_minima(PROBE, row.reshape(1, 50))
+
+    @pytest.mark.parametrize(
+        "sweep, probe, name",
+        [
+            ([[0.1, 0.2]], PROBE, "sweep"),
+            ([0.1, 0.2], PROBE[None, :], "probe"),
+            (0.1, PROBE, "sweep"),
+        ],
+        ids=["2d-sweep", "2d-probe", "scalar-sweep"],
+    )
+    def test_spectrum_grids_must_be_1d(self, sweep, probe, name):
+        shape = np.shape(sweep if name == "sweep" else probe)
+        message = f"{name} grid must be real and 1-D, got float64 of shape " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            sweep_spectrum(P_DIPS, "g", sweep, probe)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_spectrum(out, "csv", P_DIPS, "g", sweep, probe)
+        assert out.getvalue() == ""
 
 
 class TestSerialization:
