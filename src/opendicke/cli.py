@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +31,9 @@ from .model import (
     ModelParams,
     alt_coupling_renorm,
     bath_condensate_density,
+    check_frequency,
     derive_phase,
+    resolve_point,
 )
 from .eigen import (
     ConvergenceError,
@@ -43,7 +44,7 @@ from .eigen import (
 )
 from .fanout import fan_out
 # bench/tracer.py wraps cli.sweep_spectrum, so the name stays importable here.
-from .scattering import resolve_point, sweep_spectrum, write_spectrum  # noqa: F401
+from .scattering import sweep_spectrum, write_spectrum  # noqa: F401
 from .squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
 PARALLEL_ENV = "DICKE_PARALLEL"
@@ -69,10 +70,13 @@ def _parse_range(text: str, name: str, fields: list[str], default_points: int) -
     return np.linspace(lo, hi, points)
 
 
-def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> tuple[str, np.ndarray]:
-    """The sweep axis and grid, every value checked by building its model
-    point with point(axis, value), so a grid that leaves the model's domain
-    is a usage error before any work starts."""
+def _parse_sweep(
+    text: str, allowed: tuple[str, ...], params: ModelParams, linear_gamma_b: bool = False
+) -> tuple[str, np.ndarray, list[ModelParams]]:
+    """The sweep axis, grid and model point of every grid value, so a grid
+    that leaves the model's domain is a usage error before any work starts
+    or any file opens (spectrum only checks its points: write_spectrum takes
+    params and the grid)."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"--sweep expects axis:start:stop[:points], got {text!r}")
@@ -80,14 +84,15 @@ def _parse_sweep(text: str, allowed: tuple[str, ...], point) -> tuple[str, np.nd
     axis = parts[0].replace("-", "_")
     if axis not in allowed:
         raise ValueError(f"sweep axis must be one of {allowed}, got {axis!r}")
-    for value in values:
+    points = []
+    for value in values.tolist():
         try:
-            point(axis, float(value))
+            points.append(resolve_point(params, axis, value, linear_gamma_b))
         except ValueError as exc:
             raise ValueError(
-                f"--sweep {text!r} leaves the model's domain at {axis} = {float(value)}: {exc}"
+                f"--sweep {text!r} leaves the model's domain at {axis} = {value}: {exc}"
             ) from exc
-    return axis, values
+    return axis, values, points
 
 
 def _parse_probe(text: str) -> np.ndarray:
@@ -95,8 +100,7 @@ def _parse_probe(text: str) -> np.ndarray:
     if len(parts) not in (2, 3):
         raise ValueError(f"--probe expects start:stop[:points], got {text!r}")
     probe = _parse_range(text, "probe", parts, 2000)
-    if not probe[0] > 0:
-        raise ValueError(f"probe lower bound must be positive, got {float(probe[0])}")
+    check_frequency(probe, "probe grid")
     return probe
 
 
@@ -162,23 +166,20 @@ def _save(args: argparse.Namespace, csv: str | None, doc, shape=None, t0: float 
 
 def _eigen_block(task) -> list:
     """Solve a pool task's EIGEN_BLOCK sweep points by cli.open_eigenfrequencies."""
-    params, axis, values = task
+    axis, points = task
     eigensets = []
-    for value in values:
-        with sweep_point(axis, value):
-            eigensets.append(open_eigenfrequencies(replace(params, **{axis: value})))
+    for point in points:
+        with sweep_point(axis, getattr(point, axis)):
+            eigensets.append(open_eigenfrequencies(point))
     return eigensets
 
 
 def _cmd_eigen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    axis, values = _parse_sweep(args.sweep, ("g", "omega_b"), lambda a, v: replace(params, **{a: v}))
+    axis, values, points = _parse_sweep(args.sweep, ("g", "omega_b"), params)
     workers = _workers(args)
-    tasks = [
-        (params, axis, values[i : i + EIGEN_BLOCK].tolist())
-        for i in range(0, values.size, EIGEN_BLOCK)
-    ]
+    tasks = [(axis, points[i : i + EIGEN_BLOCK]) for i in range(0, len(points), EIGEN_BLOCK)]
     eigensets = [es for block in fan_out(_eigen_block, tasks, workers) for es in block]
     table = sweep_eigenfrequencies(params, axis, values, eigensets=eigensets)
     csv = f"# axis={axis} sweep={_fmt(values[0])}:{_fmt(values[-1])}:{values.size}\n"
@@ -204,11 +205,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    axis, values = _parse_sweep(
-        args.sweep,
-        ("g", "ratio"),
-        lambda a, v: resolve_point(params, a, v, args.linear_gamma_b),
-    )
+    axis, values, _ = _parse_sweep(args.sweep, ("g", "ratio"), params, args.linear_gamma_b)
     probe = _parse_probe(args.probe)
     workers = _workers(args)
     _atomic_write(

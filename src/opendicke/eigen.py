@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathSpec, ModelParams, Phase, PhaseData, derive_phase
+from .model import BathSpec, ModelParams, Phase, PhaseData, derive_phase, real_grid, resolve_point
 from .matrices import (
     INPUT,
     BogoliubovSystem,
@@ -434,11 +434,7 @@ def sweep_eigenfrequencies(
     """
     if axis not in ("g", "omega_b"):
         raise ValueError(f"sweep axis must be 'g' or 'omega_b', got {axis!r}")
-    values = np.asarray(grid, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"sweep grid must be 1-D, got shape {values.shape}")
-    if values.size == 0:
-        raise ValueError("sweep grid must be nonempty")
+    values = real_grid(grid, "sweep grid")
     if np.any(np.diff(values) < 0):
         raise ValueError("sweep grid must be sorted ascending")
     if eigensets is not None and len(eigensets) != values.size:
@@ -450,7 +446,7 @@ def sweep_eigenfrequencies(
     phases: list[Phase] = []
     prev: dict[str, complex] | None = None
     for i, v in enumerate(values):
-        p = replace(params, **{axis: float(v)})
+        p = resolve_point(params, axis, float(v))
         if eigensets is not None:
             es = eigensets[i]
         else:

@@ -9,7 +9,7 @@ bath density sigma/N ever appear; N itself is never a parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -110,6 +110,30 @@ def gamma_of(bath: BathSpec, omega):
     return g0 * abs(omega) ** s
 
 
+def real_grid(values, name: str) -> np.ndarray:
+    """values as a float array, or a ValueError naming the grid unless it
+    is real, 1-D and nonempty. Nothing is cast: a complex grid raises."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) or arr.ndim != 1:
+        raise ValueError(f"{name} must be real and 1-D, got {arr.dtype} of shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    return arr.astype(float, copy=False)
+
+
+def check_frequency(omega, name: str, *, scalar: bool = False) -> None:
+    """Raise a ValueError naming the input and its first offending value unless
+    every value of omega is real, finite and positive (one number with scalar)."""
+    arr = np.asarray(omega)
+    if scalar and arr.ndim != 0:
+        raise ValueError(f"{name} must be a single value, got shape {arr.shape}")
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got {arr.dtype}")
+    ok = np.isfinite(arr) & (arr > 0)
+    if not ok.all():
+        raise ValueError(f"{name} must be finite and positive, got {arr[~ok].flat[0]}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five dials of the model: two bare frequencies, the collective
@@ -131,6 +155,22 @@ class ModelParams:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
         if self.g < 0:
             raise ValueError(f"coupling g must be nonnegative, got {self.g}")
+
+
+def resolve_point(
+    params: ModelParams, axis: str, value: float, linear_gamma_b: bool = False
+) -> ModelParams:
+    """The model point of one sweep value. Axis 'g' or 'omega_b' sets that
+    field; 'ratio' sets omega_b = value * omega_a and, with linear_gamma_b,
+    scales the matter damping amplitude in proportion to omega_b. A value
+    outside the model's domain raises ModelParams' ValueError."""
+    if axis != "ratio":
+        return replace(params, **{axis: value})
+    omega_b = value * params.omega_a
+    bath_b = params.bath_b
+    if linear_gamma_b:
+        bath_b = replace(bath_b, gamma0=bath_b.gamma0 * omega_b / params.omega_b)
+    return replace(params, omega_b=omega_b, bath_b=bath_b)
 
 
 @dataclass(frozen=True)
@@ -224,8 +264,7 @@ def bath_condensate_density(params: ModelParams, port: str, omega: float) -> flo
     density diverges toward omega = 0 but is finite at any positive
     frequency).
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"bath density requires a finite omega > 0, got {omega}")
+    check_frequency(omega, "bath frequency omega", scalar=True)
     alpha, beta = condensates(params)
     if port == "a":
         bath, cond, w_port = params.bath_a, alpha, params.omega_a

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, derive_phase, gamma_of
+from .model import ModelParams, check_frequency, derive_phase, gamma_of, real_grid, resolve_point
 from .matrices import INPUT, OUTPUT, build_system, m_matrix, s11_rows
 # bench/tracer.py wraps scattering.zeta_from_system, so the name stays importable here.
 from .matrices import zeta_from_system  # noqa: F401
@@ -39,21 +39,6 @@ __all__ = [
 ]
 
 
-def _grid(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr) or arr.ndim != 1:
-        raise ValueError(f"{name} must be real and 1-D, got {arr.dtype} of shape {arr.shape}")
-    return arr.astype(float, copy=False)
-
-
-def _validate_probe(omega) -> None:
-    arr = np.asarray(omega)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"probe frequencies must be real, got {arr.dtype}")
-    if not np.all(np.isfinite(arr) & (arr > 0)):
-        raise ValueError("probe frequencies must be finite and positive")
-
-
 def s11(params: ModelParams, omega):
     """Reflection coefficient at port a for real probe frequencies.
 
@@ -62,7 +47,7 @@ def s11(params: ModelParams, omega):
     the zero-frequency root at the exact critical point, which the omega > 0
     domain never touches. A list or tuple is read as a float array.
     """
-    _validate_probe(omega)
+    check_frequency(omega, "probe frequencies")
     if isinstance(omega, (list, tuple)):
         omega = np.asarray(omega, dtype=float)
     pd = derive_phase(params)
@@ -80,9 +65,7 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     attaching the 2 / (lam + 1) condensate factor to the bare law). Both
     port couplings must be positive, otherwise the weights are singular.
     """
-    if np.ndim(omega) != 0:
-        raise ValueError(f"s_matrix takes one probe frequency omega, got shape {np.shape(omega)}")
-    _validate_probe(omega)
+    check_frequency(omega, "probe frequency", scalar=True)
     if params.bath_a.gamma0 <= 0 or params.bath_b.gamma0 <= 0:
         raise ValueError("the scattering matrix requires both port couplings positive")
     pd = derive_phase(params)
@@ -177,23 +160,9 @@ def _format_block(fmt: str, include_phase: bool, sweep, probe, values, labels) -
     return "".join(rows) % tuple(nums.ravel().tolist())
 
 
-def resolve_point(
-    params: ModelParams, axis: str, value: float, linear_gamma_b: bool
-) -> ModelParams:
-    """The model point of one spectrum sweep value (see sweep_spectrum)."""
-    if axis == "g":
-        return replace(params, g=value)
-    omega_b = value * params.omega_a
-    bath_b = params.bath_b
-    if linear_gamma_b:
-        bath_b = replace(bath_b, gamma0=bath_b.gamma0 * omega_b / params.omega_b)
-    return replace(params, omega_b=omega_b, bath_b=bath_b)
-
-
 def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
     """S11 rows (as fmt text when fmt is set) and phase labels of a block."""
-    params, axis, sweep, probe, linear_gamma_b, fmt, include_phase = task
-    points = [resolve_point(params, axis, v, linear_gamma_b) for v in sweep.tolist()]
+    points, sweep, probe, fmt, include_phase = task
     phases = [derive_phase(p) for p in points]
     values = np.vstack(s11_rows([build_system(pd, p) for pd, p in zip(phases, points)], probe))
     labels = [pd.phase.value for pd in phases]
@@ -203,17 +172,17 @@ def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
 
 
 def _computed_blocks(params, axis, sweep, probe, linear_gamma_b, workers, fmt, include_phase):
-    """The checked grids and, lazily and in order, _spectrum_block's results."""
+    """The checked grids and, lazily and in order, _spectrum_block's results.
+    Every model point is built first, so a bad sweep value raises before any write."""
     if axis not in ("g", "ratio"):
         raise ValueError(f"spectrum axis must be 'g' or 'ratio', got {axis!r}")
     if linear_gamma_b and axis != "ratio":
         raise ValueError(f"linear_gamma_b scales gamma_b along a 'ratio' sweep, got axis {axis!r}")
-    sweep, probe = _grid(sweep, "sweep grid"), _grid(probe, "probe grid")
-    if sweep.size == 0 or probe.size == 0:
-        raise ValueError("sweep and probe grids must be nonempty")
-    _validate_probe(probe)
+    sweep, probe = real_grid(sweep, "sweep grid"), real_grid(probe, "probe grid")
+    check_frequency(probe, "probe grid")
+    points = [resolve_point(params, axis, v, linear_gamma_b) for v in sweep.tolist()]
     tasks = [
-        (params, axis, sweep[i : i + FORMAT_ROWS], probe, linear_gamma_b, fmt, include_phase)
+        (points[i : i + FORMAT_ROWS], sweep[i : i + FORMAT_ROWS], probe, fmt, include_phase)
         for i in range(0, sweep.size, FORMAT_ROWS)
     ]
     return sweep, probe, fan_out(_spectrum_block, tasks, workers)
@@ -296,7 +265,7 @@ def find_minima(probe_frequencies, row) -> np.ndarray:
     A monotone (or flat) row yields an empty array. The probe frequencies
     must be a real, strictly increasing 1-D grid, one for each row value.
     """
-    x = _grid(probe_frequencies, "probe frequencies")
+    x = real_grid(probe_frequencies, "probe frequencies")
     y = np.abs(np.asarray(row)) ** 2
     if x.shape != y.shape:
         raise ValueError(f"{x.size} probe frequencies for a row of shape {y.shape}")
@@ -321,7 +290,7 @@ def lamb_shift(params: ModelParams, branch: str, probe_frequencies) -> float:
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     lo, hi = closed_eigenfrequencies(params)
     target = lo if branch == "lower" else hi
-    probe = _grid(probe_frequencies, "probe frequencies")
+    probe = real_grid(probe_frequencies, "probe frequencies")
     minima = find_minima(probe, s11(params, probe))
     if minima.size == 0:
         raise ValueError(f"no reflection minimum on the probe grid for branch {branch!r}")

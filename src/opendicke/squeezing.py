@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, gamma_of
+from .model import ModelParams, check_frequency, gamma_of
 from .scattering import s_matrix
 
 __all__ = [
@@ -40,8 +40,7 @@ class QuadratureSpec:
     psi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"probe frequency must be finite and positive, got {self.omega}")
+        check_frequency(self.omega, "probe frequency", scalar=True)
         for name in ("phi", "theta", "psi"):
             angle = getattr(self, name)
             if not math.isfinite(angle):
@@ -56,8 +55,7 @@ def dispersive_output_coefficient(params: ModelParams, omega: float) -> complex:
     complex conjugates on the real axis, so the modulus is exactly one. The
     expression targets omega_b >> omega_a but is well defined generally.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"probe frequency must be finite and positive, got {omega}")
+    check_frequency(omega, "probe frequency", scalar=True)
     wa, wb, g = params.omega_a, params.omega_b, params.g
     ga = gamma_of(params.bath_a, omega)
     shift = wa * (4.0 * g**2 - wa * wb)

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import re
+import shlex
 import sys
 import sysconfig
 import tempfile
@@ -42,6 +43,7 @@ from opendicke.eigen import ConvergenceError
 from opendicke.matrices import zeta_constant_term
 
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 # The README examples, verbatim, plus the two variants the README describes
 # in prose (a non-ohmic eigen sweep and the JSON spectrum), plus the files
@@ -88,6 +90,17 @@ NAMED_POINTS = [
     (1e-4, 1e-4, 0.7e-4, 0.3 * 1e-4**1.5, -0.5, 0.2 * 1e-4**0.5, 0.5),
     (1e8, 1e8, 0.7e8, 0.3 * 1e8**1.5, -0.5, 0.2 * 1e8**0.5, 0.5),
 ]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every README.md command line: a backslash-newline joins a
+    continuation line, and each line that starts with `opendicke ` is one
+    command. Raises unless there are the six the README documents."""
+    text = README.read_text().replace("\\\n", " ")
+    commands = [shlex.split(ln) for ln in text.splitlines() if ln.startswith("opendicke ")]
+    if len(commands) < 6:
+        raise ValueError(f"expected the six README commands, found {len(commands)}")
+    return commands
 
 
 def environment() -> dict:

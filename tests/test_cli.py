@@ -332,7 +332,10 @@ class TestFailureModes:
             ["squeeze", "--omega", "1", "--theta", "nan"],
             "quadrature angle theta must be finite, got nan",
         ),
-        (["condensates", "--omega", "inf"], "bath density requires a finite omega > 0, got inf"),
+        (
+            ["condensates", "--omega", "inf"],
+            "bath frequency omega must be finite and positive, got inf",
+        ),
         (["altcoupling", "--f-a0", "nan"], "coupling weights must be finite, got nan, 0.0"),
     ], ids=[f"argv{i}" for i in range(6)])
     def test_non_finite_command_flag(self, argv, message, tmp_path, capsys):
@@ -344,7 +347,10 @@ class TestFailureModes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["condensates", "--omega", "0"], "bath density requires a finite omega > 0, got 0.0"),
+        (
+            ["condensates", "--omega", "0"],
+            "bath frequency omega must be finite and positive, got 0.0",
+        ),
         (["squeeze", "--omega", "0"], "probe frequency must be finite and positive, got 0.0"),
         (["eigen", "--sweep", "g:0"], "--sweep expects axis:start:stop[:points], got 'g:0'"),
         (
@@ -400,10 +406,12 @@ class TestFailureModes:
         ("0.2:1:x", "bad point count in --probe"),
         ("0.2:y:4", "bad bounds in --probe"),
         ("0.5:0.2:4", "--probe range must be increasing"),
-        ("-0.5:0.2:4", "probe lower bound must be positive"),
+        ("-0.5:0.2:4", "probe grid must be finite and positive, got -0.5"),
     ])
-    def test_probe_range_checks(self, probe, message, capsys):
-        assert run(["spectrum", "--sweep", "g:0.1:0.3:3", f"--probe={probe}"]) == 2
+    def test_probe_range_checks(self, probe, message, tmp_path, capsys):
+        # An unwritable -o would exit 4 if the probe were checked after the output opens.
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["spectrum", "--sweep", "g:0.1:0.3:3", f"--probe={probe}", "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
 
     def test_io_failure_exits_4(self, capsys):

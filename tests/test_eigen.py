@@ -354,7 +354,8 @@ class TestSweep:
         "grid, shape", [([[0.1, 0.2]], r"\(1, 2\)"), (0.1, r"\(\)")], ids=["2d", "scalar"]
     )
     def test_grid_must_be_one_dimensional(self, grid, shape):
-        with pytest.raises(ValueError, match=f"sweep grid must be 1-D, got shape {shape}"):
+        message = f"sweep grid must be real and 1-D, got float64 of shape {shape}"
+        with pytest.raises(ValueError, match=message):
             sweep_eigenfrequencies(make(), "g", grid)
 
     @pytest.mark.parametrize("count", [1, 3])

@@ -3,9 +3,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from opendicke.model import BathSpec, ModelParams, Phase, PhaseData, derive_phase
+from opendicke.model import BathSpec, ModelParams, Phase, PhaseData, derive_phase, resolve_point
 from opendicke.model import _superradiant_fields
-from opendicke.scattering import resolve_point, s11, sweep_spectrum
+from opendicke.scattering import s11, sweep_spectrum
 from opendicke.matrices import (
     FLIP_A,
     INPUT,

@@ -1,10 +1,13 @@
+import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opendicke.eigen import sweep_eigenfrequencies
 from opendicke.model import (
     AltCouplingParams,
     BathSpec,
@@ -16,6 +19,9 @@ from opendicke.model import (
     gamma_of,
 )
 from opendicke.model import _superradiant_fields
+from opendicke.scattering import find_minima, lamb_shift, s11, s_matrix, sweep_spectrum
+from opendicke.scattering import write_spectrum
+from opendicke.squeezing import QuadratureSpec, dispersive_output_coefficient
 
 from conftest import make
 
@@ -233,7 +239,8 @@ class TestBathCondensateDensity:
     def test_rejects_non_finite_frequency(self, bad):
         # Superohmic port above the transition: inf used to give nan.
         p = make(g=0.8, ga=0.1, sa=0.5, gb=0.2)
-        with pytest.raises(ValueError, match="finite omega > 0"):
+        message = f"^bath frequency omega must be finite and positive, got {bad}$"
+        with pytest.raises(ValueError, match=message):
             bath_condensate_density(p, "a", bad)
 
 
@@ -271,3 +278,78 @@ class TestAltCoupling:
         for weights in ((bad, 0.0), (0.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 AltCouplingParams(*weights)
+
+
+POINT = make(g=0.3, ga=0.1, gb=0.2)
+PROBE = np.linspace(0.1, 2.0, 50)
+
+
+def _write_spectrum(sweep, probe):
+    out = io.StringIO()
+    try:
+        write_spectrum(out, "csv", POINT, "ratio", sweep, probe)
+    finally:
+        assert out.getvalue() == ""  # a rejected input writes nothing
+
+
+# Every library entry that takes a frequency input: (id, call, kind, name its
+# errors carry). A "scalar" entry takes one frequency, an "array" entry any
+# shape elementwise, a "grid" entry a real, 1-D, nonempty grid. A sweep value
+# is checked as the model point it sets, so its value errors name omega_b.
+# find_minima locates minima on any real increasing grid, zero and negative
+# included, so only its grid cases apply ("minima").
+FREQUENCY_ENTRIES = [
+    ("s11", partial(s11, POINT), "array", "probe frequencies"),
+    ("s_matrix", partial(s_matrix, POINT), "scalar", "probe frequency"),
+    ("QuadratureSpec", QuadratureSpec, "scalar", "probe frequency"),
+    ("dispersive", partial(dispersive_output_coefficient, POINT), "scalar", "probe frequency"),
+    ("density", partial(bath_condensate_density, POINT, "a"), "scalar", "bath frequency omega"),
+    ("spectrum-probe", partial(sweep_spectrum, POINT, "ratio", [1.0]), "grid", "probe grid"),
+    ("spectrum-sweep", lambda w: sweep_spectrum(POINT, "ratio", w, PROBE), "grid", "sweep grid"),
+    ("write-probe", partial(_write_spectrum, [1.0]), "grid", "probe grid"),
+    ("write-sweep", lambda w: _write_spectrum(w, PROBE), "grid", "sweep grid"),
+    ("lamb_shift", partial(lamb_shift, POINT, "lower"), "grid", "probe frequencies"),
+    ("find_minima", lambda w: find_minima(w, np.ones(3)), "minima", "probe frequencies"),
+    ("eigen-sweep", partial(sweep_eigenfrequencies, POINT, "omega_b"), "grid", "sweep grid"),
+]
+
+# (id, the input an entry of each kind gets); None where that kind accepts it.
+GRID_CASES = [
+    ("complex", {"scalar": 1 + 1j, "array": np.array([1.0, 1 + 1j]), "grid": np.array([1.0 + 1j])}),
+    ("wrong-shape", {"scalar": np.array([1.0]), "array": None, "grid": [[1.0, 2.0]]}),
+    ("empty", {"scalar": np.array([]), "array": None, "grid": []}),
+]
+BAD_VALUES = [
+    ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("zero", 0.0), ("negative", -1.0)
+]
+
+
+def _contract_cases():
+    for entry, call, kind, name in FREQUENCY_ENTRIES:
+        for case, inputs in GRID_CASES:
+            value = inputs["grid" if kind == "minima" else kind]
+            if value is not None:
+                yield pytest.param(call, value, name, None, id=f"{entry}-{case}")
+        if kind == "minima":
+            continue
+        value_name = "omega_b" if name == "sweep grid" else name
+        for case, bad in BAD_VALUES:
+            # An array's first offending value is named, not a later one.
+            value = {"scalar": bad, "array": np.array([1.0, bad, -7.0]), "grid": [bad]}[kind]
+            yield pytest.param(call, value, value_name, bad, id=f"{entry}-{case}")
+
+
+class TestFrequencyInputContract:
+    """Every frequency input is real, finite and positive, and every grid is
+    real, 1-D and nonempty; each violation raises a ValueError that names
+    the input (and the offending value) instead of a TypeError, a cast or a
+    NaN."""
+
+    @pytest.mark.parametrize("call, value, name, bad", list(_contract_cases()))
+    def test_violation_raises_a_value_error_naming_the_input(self, call, value, name, bad):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        message = str(exc.value)
+        assert name in message
+        if bad is not None:
+            assert message.endswith(f", got {bad}")

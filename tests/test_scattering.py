@@ -315,7 +315,7 @@ class TestRealOneDimensionalInputs:
         [
             (lambda: s11(P_DIPS, 1 + 1j), "probe frequencies"),
             (lambda: s11(P_DIPS, [1 + 1j]), "probe frequencies"),
-            (lambda: s_matrix(P_DIPS, 1 + 1j), "probe frequencies"),
+            (lambda: s_matrix(P_DIPS, 1 + 1j), "probe frequency"),
             (lambda: sweep_spectrum(P_DIPS, "g", [0.1, 0.2], PROBE + 0.01j), "probe grid"),
             (lambda: lamb_shift(P_DIPS, "lower", PROBE + 0.01j), "probe frequencies"),
             (lambda: find_minima(PROBE + 0.01j, s11(P_DIPS, PROBE)), "probe frequencies"),
@@ -327,7 +327,7 @@ class TestRealOneDimensionalInputs:
             call()
 
     def test_s_matrix_takes_one_frequency(self):
-        with pytest.raises(ValueError, match=r"one probe frequency omega, got shape \(1,\)"):
+        with pytest.raises(ValueError, match=r"^probe frequency must be a single value, got shape \(1,\)$"):
             s_matrix(P_DIPS, np.array([1.0]))
 
     def test_find_minima_needs_a_1d_row(self):
