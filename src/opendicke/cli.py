@@ -31,7 +31,6 @@ from .model import (
     ModelParams,
     alt_coupling_renorm,
     bath_condensate_density,
-    check_frequency,
     derive_phase,
     resolve_point,
 )
@@ -44,7 +43,7 @@ from .eigen import (
 )
 from .fanout import fan_out
 # bench/tracer.py wraps cli.sweep_spectrum, so the name stays importable here.
-from .scattering import sweep_spectrum, write_spectrum  # noqa: F401
+from .scattering import spectrum_text, sweep_spectrum  # noqa: F401
 from .squeezing import QuadratureSpec, quadrature_variance, two_mode_variance
 
 PARALLEL_ENV = "DICKE_PARALLEL"
@@ -70,13 +69,9 @@ def _parse_range(text: str, name: str, fields: list[str], default_points: int) -
     return np.linspace(lo, hi, points)
 
 
-def _parse_sweep(
-    text: str, allowed: tuple[str, ...], params: ModelParams, linear_gamma_b: bool = False
-) -> tuple[str, np.ndarray, list[ModelParams]]:
-    """The sweep axis, grid and model point of every grid value, so a grid
-    that leaves the model's domain is a usage error before any work starts
-    or any file opens (spectrum only checks its points: write_spectrum takes
-    params and the grid)."""
+def _parse_sweep(text: str, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]:
+    """The axis and grid of a --sweep value; the library maps each grid value
+    to its model point and names a value that leaves the model's domain."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"--sweep expects axis:start:stop[:points], got {text!r}")
@@ -84,24 +79,14 @@ def _parse_sweep(
     axis = parts[0].replace("-", "_")
     if axis not in allowed:
         raise ValueError(f"sweep axis must be one of {allowed}, got {axis!r}")
-    points = []
-    for value in values.tolist():
-        try:
-            points.append(resolve_point(params, axis, value, linear_gamma_b))
-        except ValueError as exc:
-            raise ValueError(
-                f"--sweep {text!r} leaves the model's domain at {axis} = {value}: {exc}"
-            ) from exc
-    return axis, values, points
+    return axis, values
 
 
 def _parse_probe(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"--probe expects start:stop[:points], got {text!r}")
-    probe = _parse_range(text, "probe", parts, 2000)
-    check_frequency(probe, "probe grid")
-    return probe
+    return _parse_range(text, "probe", parts, 2000)
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
@@ -128,13 +113,13 @@ def _workers(args: argparse.Namespace) -> int:
     return n
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call write(handle) on a temp file beside path, then rename it to path."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write each text chunk to a temp file beside path, then rename it to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opendicke-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            write(handle)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -159,7 +144,7 @@ def _save(args: argparse.Namespace, csv: str | None, doc, shape=None, t0: float 
     text = csv
     if csv is None or getattr(args, "format", None) == "json":
         text = json.dumps(doc, separators=(",", ":")) + "\n"
-    _atomic_write(args.output, lambda handle: handle.write(text))
+    _atomic_write(args.output, [text])
     if shape is not None:
         _summary(args.output, *shape, t0)
 
@@ -177,7 +162,8 @@ def _eigen_block(task) -> list:
 def _cmd_eigen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    axis, values, points = _parse_sweep(args.sweep, ("g", "omega_b"), params)
+    axis, values = _parse_sweep(args.sweep, ("g", "omega_b"))
+    points = [resolve_point(params, axis, v) for v in values.tolist()]
     workers = _workers(args)
     tasks = [(axis, points[i : i + EIGEN_BLOCK]) for i in range(0, len(points), EIGEN_BLOCK)]
     eigensets = [es for block in fan_out(_eigen_block, tasks, workers) for es in block]
@@ -205,23 +191,21 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     params = _params_from(args)
-    axis, values, _ = _parse_sweep(args.sweep, ("g", "ratio"), params, args.linear_gamma_b)
+    axis, values = _parse_sweep(args.sweep, ("g", "ratio"))
     probe = _parse_probe(args.probe)
-    workers = _workers(args)
-    _atomic_write(
-        args.output,
-        lambda handle: write_spectrum(
-            handle,
-            args.format,
-            params,
-            axis,
-            values,
-            probe,
-            linear_gamma_b=args.linear_gamma_b,
-            include_phase=args.include_phase_labels,
-            workers=workers,
-        ),
+    # spectrum_text checks every input at the call, so a usage error exits 2
+    # before _atomic_write opens the output; the grid is computed as it is written.
+    text = spectrum_text(
+        args.format,
+        params,
+        axis,
+        values,
+        probe,
+        linear_gamma_b=args.linear_gamma_b,
+        include_phase=args.include_phase_labels,
+        workers=_workers(args),
     )
+    _atomic_write(args.output, text)
     _summary(args.output, values.size, probe.size, t0)
     return 0
 

@@ -45,7 +45,6 @@ __all__ = [
     "build_a_matrix",
     "build_gamma",
     "m_matrix",
-    "zeta",
     "zeta_from_system",
     "s11_rows",
     "zeta_constant_term",
@@ -276,16 +275,6 @@ def s11_rows(systems, omega) -> list:
             den = zeta_from_system(system, shifted, INPUT)
         rows.append(num / den)
     return rows
-
-
-def zeta(
-    phase_data: PhaseData,
-    params: ModelParams,
-    omega,
-    signature: ZetaSignature = INPUT,
-):
-    """zeta at a point or over an array of frequencies (see zeta_from_system)."""
-    return zeta_from_system(build_system(phase_data, params), omega, signature)
 
 
 def zeta_constant_term(phase_data: PhaseData, params: ModelParams) -> float:

@@ -155,6 +155,13 @@ class ModelParams:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
         if self.g < 0:
             raise ValueError(f"coupling g must be nonnegative, got {self.g}")
+        # derive_phase's lambda, with g * g so that an overflow is inf, not an error.
+        wa_wb = self.omega_a * self.omega_b
+        if not (0.0 < wa_wb < math.inf and 4.0 * (self.g * self.g) / wa_wb < math.inf):
+            raise ValueError(
+                "omega_a omega_b must be finite and positive and 4 g^2 / (omega_a omega_b)"
+                f" finite, got omega_a = {self.omega_a}, omega_b = {self.omega_b}, g = {self.g}"
+            )
 
 
 def resolve_point(
@@ -163,14 +170,17 @@ def resolve_point(
     """The model point of one sweep value. Axis 'g' or 'omega_b' sets that
     field; 'ratio' sets omega_b = value * omega_a and, with linear_gamma_b,
     scales the matter damping amplitude in proportion to omega_b. A value
-    outside the model's domain raises ModelParams' ValueError."""
-    if axis != "ratio":
-        return replace(params, **{axis: value})
-    omega_b = value * params.omega_a
-    bath_b = params.bath_b
-    if linear_gamma_b:
-        bath_b = replace(bath_b, gamma0=bath_b.gamma0 * omega_b / params.omega_b)
-    return replace(params, omega_b=omega_b, bath_b=bath_b)
+    outside the model's domain raises a ValueError naming the axis and value."""
+    try:
+        if axis != "ratio":
+            return replace(params, **{axis: value})
+        omega_b = value * params.omega_a
+        bath_b = params.bath_b
+        if linear_gamma_b:
+            bath_b = replace(bath_b, gamma0=bath_b.gamma0 * omega_b / params.omega_b)
+        return replace(params, omega_b=omega_b, bath_b=bath_b)
+    except ValueError as exc:
+        raise ValueError(f"sweep leaves the model's domain at {axis} = {value}: {exc}") from exc
 
 
 @dataclass(frozen=True)

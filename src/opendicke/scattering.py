@@ -15,9 +15,9 @@ a two-route consistency check.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "s11",
     "s_matrix",
     "sweep_spectrum",
-    "write_spectrum",
+    "spectrum_text",
     "find_minima",
     "lamb_shift",
 ]
@@ -104,43 +104,41 @@ class SpectrumGrid:
     def to_csv(self, stream, include_phase: bool = False) -> None:
         """Rows of (sweep_value, omega, re, im, abs) behind '#' metadata
         headers; 12 significant digits throughout."""
-        self._write(stream, "csv", include_phase)
+        stream.writelines(self._text("csv", include_phase))
 
     def to_json(self) -> str:
         """Single document with the magnitude grid flattened row-major.
         Floats use the shortest round-trip repr of json.dumps."""
-        out = io.StringIO()
-        self._write(out, "json", False)
-        return out.getvalue()
+        return "".join(self._text("json", False))
 
-    def _write(self, stream, fmt: str, include_phase: bool) -> None:
+    def _text(self, fmt: str, include_phase: bool):
         sv, pf, labels = self.sweep_values, self.probe_frequencies, self.phase_labels
         rows = [slice(i, i + FORMAT_ROWS) for i in range(0, sv.size, FORMAT_ROWS)]
         blocks = (
             (_format_block(fmt, include_phase, sv[r], pf, self.values[r], labels[r]), labels[r])
             for r in rows
         )
-        _write_grid(stream, fmt, self.axis, sv, pf, include_phase, blocks)
+        return _grid_text(fmt, self.axis, sv, pf, include_phase, blocks)
 
 
-def _write_grid(stream, fmt: str, axis: str, sv, pf, include_phase: bool, blocks) -> None:
-    """Header, each (text, labels) block's text in order, then JSON's labels."""
+def _grid_text(fmt: str, axis: str, sv, pf, include_phase: bool, blocks):
+    """Yield the header, each (text, labels) block's text in order, then JSON's labels."""
     if fmt == "json":
         head = {"axis": axis, "sweep_values": sv.tolist(), "probe_frequencies": pf.tolist()}
-        stream.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"abs_s11":[')
+        yield json.dumps(head, separators=(",", ":"))[:-1] + ',"abs_s11":['
     else:
         phase = ",phase" if include_phase else ""
-        stream.write(
+        yield (
             f"# axis={axis} sweep={sv[0]:.11e}:{sv[-1]:.11e}:{sv.size}"
             f" probe={pf[0]:.11e}:{pf[-1]:.11e}:{pf.size}\n"
             f"# columns: sweep_value,omega,re_s11,im_s11,abs_s11{phase}\n"
         )
     all_labels = []
     for k, (text, labels) in enumerate(blocks):
-        stream.write("," + text if k and fmt == "json" else text)
+        yield "," + text if k and fmt == "json" else text
         all_labels += labels
     if fmt == "json":
-        stream.write(f'],"phase_labels":{json.dumps(all_labels, separators=(",", ":"))}}}')
+        yield f'],"phase_labels":{json.dumps(all_labels, separators=(",", ":"))}}}'
 
 
 def _format_block(fmt: str, include_phase: bool, sweep, probe, values, labels) -> str:
@@ -173,7 +171,7 @@ def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
 
 def _computed_blocks(params, axis, sweep, probe, linear_gamma_b, workers, fmt, include_phase):
     """The checked grids and, lazily and in order, _spectrum_block's results.
-    Every model point is built first, so a bad sweep value raises before any write."""
+    Every model point is built first, so a bad sweep value raises at the call."""
     if axis not in ("g", "ratio"):
         raise ValueError(f"spectrum axis must be 'g' or 'ratio', got {axis!r}")
     if linear_gamma_b and axis != "ratio":
@@ -216,8 +214,7 @@ def sweep_spectrum(
     return SpectrumGrid(axis, sweep, probe, values, tuple(labels))
 
 
-def write_spectrum(
-    stream,
+def spectrum_text(
     fmt: str,
     params: ModelParams,
     axis: str,
@@ -227,11 +224,14 @@ def write_spectrum(
     linear_gamma_b: bool = False,
     include_phase: bool = False,
     workers: int = 1,
-) -> None:
-    """Write sweep_spectrum's grid as fmt 'csv' or 'json': the bytes of
-    to_csv (include_phase is CSV only), or of to_json and a newline. Each
-    pool task computes and formats FORMAT_ROWS rows, whose text is written
-    in order as it arrives, so the grid is never held."""
+):
+    """sweep_spectrum's grid as the text of a fmt 'csv' or 'json' file: the
+    bytes of to_csv (include_phase is CSV only), or of to_json and a newline.
+
+    Every input is checked and every model point built at the call, so a
+    bad input raises before any text exists. The text comes back as an
+    iterator of chunks: each pool task computes and formats FORMAT_ROWS
+    rows only as the iterator is read, so the grid is never held."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"spectrum file format must be 'csv' or 'json', got {fmt!r}")
     if include_phase and fmt == "json":
@@ -239,8 +239,8 @@ def write_spectrum(
     sweep, probe, blocks = _computed_blocks(
         params, axis, sweep_values, probe_frequencies, linear_gamma_b, workers, fmt, include_phase
     )
-    _write_grid(stream, fmt, axis, sweep, probe, include_phase, blocks)
-    stream.write("\n" if fmt == "json" else "")
+    text = _grid_text(fmt, axis, sweep, probe, include_phase, blocks)
+    return chain(text, ["\n"] if fmt == "json" else [])
 
 
 def _parabolic_vertex(x, y) -> float:

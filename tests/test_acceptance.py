@@ -9,7 +9,7 @@ import numpy as np
 
 import opendicke.cli as cli
 from opendicke.model import AltCouplingParams, alt_coupling_renorm, condensates, derive_phase
-from opendicke.matrices import zeta
+from opendicke.matrices import build_system, zeta_from_system
 from opendicke.eigen import (
     closed_eigenfrequencies,
     locate_critical,
@@ -119,7 +119,7 @@ def test_criterion_05_determinant_quartic_equivalence():
         )
         pd = derive_phase(p)
         w = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 0.2))
-        det_val = zeta(pd, p, w)
+        det_val = zeta_from_system(build_system(pd, p), w)
         oracle_val = np.polyval(explicit_normal_quartic(p), w)
         poly_val = np.polyval(zeta_quartic_coeffs(pd, p), w)
         dev = max(abs(det_val - oracle_val), abs(poly_val - oracle_val))

@@ -230,18 +230,66 @@ class TestFailureModes:
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("argv", [
-        ["eigen", "--sweep", "g:-0.2:0.3:5"],
-        ["eigen", "--sweep", "omega_b:0:1:5"],
-        ["spectrum", "--sweep", "ratio:-1:1:5", "--probe", "0.1:1:5"],
-        ["spectrum", "--sweep", "g:-1:1:5", "--probe", "0.1:1:5"],
-    ])
-    def test_sweep_outside_the_domain_is_usage_error(self, argv, workers, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["eigen", "--sweep", "g:-0.2:0.3:5"],
+            "g = -0.2: coupling g must be nonnegative, got -0.2",
+        ),
+        (["eigen", "--sweep", "omega_b:0:1:5"], "omega_b = 0.0: omega_b must be positive, got 0.0"),
+        (
+            ["spectrum", "--sweep", "ratio:-1:1:5", "--probe", "0.1:1:5"],
+            "ratio = -1.0: omega_b must be positive, got -1.0",
+        ),
+        (
+            ["spectrum", "--sweep", "g:-1:1:5", "--probe", "0.1:1:5"],
+            "g = -1.0: coupling g must be nonnegative, got -1.0",
+        ),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_sweep_outside_the_domain_is_usage_error(
+        self, argv, message, workers, tmp_path, capsys
+    ):
         out = tmp_path / "x.csv"
         assert run(argv + ["--parallel", workers, "-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "--sweep" in err and "domain" in err
+        assert err == f"error: sweep leaves the model's domain at {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--omega-a", "1e-200", "--omega-b", "1e-200"],
+        ["condensates", "--g", "1e160", "--omega", "1"],
+        ["eigen", "--omega-a", "1e200", "--omega-b", "1e200", "--sweep", "g:0:7e199:5"],
+    ], ids=["critical-underflow", "condensates-overflow", "eigen-overflow"])
+    def test_points_beyond_float_range_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert run(argv + ["-o", str(out)]) == 2
+        assert "must be finite and positive and 4 g^2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["--sweep", "g:-1:1:5", "--probe", "0.1:1:5"],
+            "sweep leaves the model's domain at g = -1.0",
+        ),
+        (["--sweep", "g:0.1:1:5", "--probe=-0.5:1:5"], "probe grid must be finite and positive"),
+        (["--sweep", "omega_b:0.1:1:5", "--probe", "0.1:1:5"], "sweep axis must be one of"),
+        (
+            ["--sweep", "g:0.1:1:5", "--probe", "0.1:1:5", "--format", "json",
+             "--include-phase-labels"],
+            "include_phase is a CSV column",
+        ),
+        (
+            ["--sweep", "g:0.1:1:5", "--probe", "0.1:1:5", "--linear-gamma-b"],
+            "linear_gamma_b scales gamma_b along a 'ratio' sweep",
+        ),
+    ], ids=["sweep-domain", "probe", "axis", "phase-labels-json", "linear-gamma-b-on-g"])
+    def test_spectrum_usage_errors_come_before_the_output_opens(
+        self, argv, message, tmp_path, capsys
+    ):
+        # The missing directory would make opening the output exit 4.
+        out = tmp_path / "missing" / "x.out"
+        assert run(["spectrum", *argv, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep_axis(self, capsys):
         assert run(["eigen", "--sweep", "ratio:0:1:10"]) == 2
@@ -430,7 +478,7 @@ class TestFailureModes:
     def test_atomic_write_leaves_no_temp_on_failure(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "out.csv"
 
-        def boom(path, write):
+        def boom(path, chunks):
             raise OSError(28, "No space left on device", str(target))
 
         monkeypatch.setattr(cli, "_atomic_write", boom)
@@ -444,11 +492,11 @@ class TestFailureModes:
     ):
         target = tmp_path / "out.csv"
 
-        def write_then_fail(handle, *args, **kwargs):
-            handle.write("# partial grid\n")
+        def text_then_fail(*args, **kwargs):
+            yield "# partial grid\n"
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(cli, "write_spectrum", write_then_fail)
+        monkeypatch.setattr(cli, "spectrum_text", text_then_fail)
         rc = run(["spectrum", "--sweep", "g:0.1:0.3:3", "--probe", "0.2:1:4", "-o", str(target)])
         assert rc == 4
         err = capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 
 import opendicke.eigen as eigen_mod
 from opendicke.model import Phase, derive_phase
-from opendicke.matrices import INPUT, build_a_matrix, m_matrix, zeta
+from opendicke.matrices import INPUT, build_a_matrix, build_system, m_matrix, zeta_from_system
 from opendicke.eigen import (
     ConvergenceError,
     closed_eigenfrequencies,
@@ -255,9 +255,9 @@ class TestOpenNonohmic:
                 sa=rng.uniform(-0.5, 1.0),
                 sb=rng.uniform(-0.5, 1.0),
             )
-            pd = derive_phase(p)
+            system = build_system(derive_phase(p), p)
             for z in open_eigenfrequencies(p).roots:
-                assert abs(zeta(pd, p, z, INPUT)) < 1e-9 * (1.0 + abs(z) ** 4)
+                assert abs(zeta_from_system(system, z, INPUT)) < 1e-9 * (1.0 + abs(z) ** 4)
 
 
 class TestLocateCritical:

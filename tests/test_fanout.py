@@ -6,7 +6,7 @@ import pytest
 
 import opendicke.cli as cli
 from opendicke.fanout import fan_out
-from opendicke.scattering import FORMAT_ROWS, sweep_spectrum, write_spectrum
+from opendicke.scattering import FORMAT_ROWS, spectrum_text, sweep_spectrum
 
 from conftest import make
 
@@ -96,17 +96,13 @@ class TestRealPool:
             expected = io.StringIO()
             grid.to_csv(expected, include_phase=include_phase)
             for workers in (1, 2):
-                out = io.StringIO()
-                write_spectrum(out, "csv", params, "g", sweep, probe,
-                               include_phase=include_phase, workers=workers)
-                assert out.getvalue() == expected.getvalue()
+                text = spectrum_text("csv", params, "g", sweep, probe,
+                                     include_phase=include_phase, workers=workers)
+                assert "".join(text) == expected.getvalue()
         for workers in (1, 2):
-            out = io.StringIO()
-            write_spectrum(out, "json", params, "g", sweep, probe, workers=workers)
-            assert out.getvalue() == grid.to_json() + "\n"
+            text = spectrum_text("json", params, "g", sweep, probe, workers=workers)
+            assert "".join(text) == grid.to_json() + "\n"
 
     def test_streamed_writer_rejects_an_unknown_format(self):
-        out = io.StringIO()
         with pytest.raises(ValueError, match="'csv' or 'json'"):
-            write_spectrum(out, "xml", make(), "g", [0.1, 0.2], [0.5, 1.0])
-        assert out.getvalue() == ""
+            spectrum_text("xml", make(), "g", [0.1, 0.2], [0.5, 1.0])

@@ -17,7 +17,6 @@ from opendicke.matrices import (
     build_system,
     m_matrix,
     s11_rows,
-    zeta,
     zeta_constant_term,
     zeta_from_system,
 )
@@ -167,56 +166,58 @@ class TestZeta:
     def test_constant_term_plugin(self):
         p = make(g=0.3, ga=0.1, gb=0.2)
         pd = derive_phase(p)
-        assert abs(zeta(pd, p, 0.0) - 0.64) < 1e-14
+        assert abs(zeta_from_system(build_system(pd, p), 0.0) - 0.64) < 1e-14
 
     def test_constant_term_damping_free(self):
         values = []
         for g0 in (0.0, 0.1, 0.5):
             for s in (-0.5, 0.0, 0.5):
                 p = make(g=0.3, ga=g0, gb=g0, sa=s, sb=s)
-                values.append(zeta(derive_phase(p), p, 0.0))
+                values.append(zeta_from_system(build_system(derive_phase(p), p), 0.0))
         assert all(v == values[0] for v in values)
         assert abs(values[0] - 0.64) < 1e-14
 
     def test_constant_term_vanishes_at_critical(self):
         p = make(g=0.5, ga=0.3, gb=0.2)
-        assert abs(zeta(derive_phase(p), p, 0.0)) < 1e-15
+        assert abs(zeta_from_system(build_system(derive_phase(p), p), 0.0)) < 1e-15
 
     def test_factorized_oracle_decoupled_lossless(self):
         p = make(omega_a=1.0, omega_b=1.0)
         pd = derive_phase(p)
-        assert abs(zeta(pd, p, 0.5) - 0.5625) < 1e-15
+        assert abs(zeta_from_system(build_system(pd, p), 0.5) - 0.5625) < 1e-15
         rng = np.random.default_rng(3)
         p2 = make(omega_a=1.2, omega_b=0.8)
-        pd2 = derive_phase(p2)
+        system2 = build_system(derive_phase(p2), p2)
         for _ in range(50):
             w = complex(rng.uniform(-2, 2), rng.uniform(-1, 0))
             oracle = (w * w - 1.2**2) * (w * w - 0.8**2)
-            assert abs(zeta(pd2, p2, w) - oracle) < 1e-12 * max(1.0, abs(oracle))
+            assert abs(zeta_from_system(system2, w) - oracle) < 1e-12 * max(1.0, abs(oracle))
 
     def test_scalar_zero_matches_constant_helper(self):
         for g in (0.2, 0.5, 0.8):
             p = make(g=g, ga=0.3, gb=0.2)
             pd = derive_phase(p)
-            assert abs(zeta(pd, p, 0.0) - zeta_constant_term(pd, p)) < 1e-14
+            zeta0 = zeta_from_system(build_system(pd, p), 0.0)
+            assert abs(zeta0 - zeta_constant_term(pd, p)) < 1e-14
 
     def test_array_evaluation_matches_scalar(self):
         p = make(g=0.4, ga=0.25, gb=0.1, sa=-0.3, sb=0.6)
         pd = derive_phase(p)
         grid = np.array([0.1, 0.5, 1.3, 2.2])
-        vec = zeta(pd, p, grid)
+        vec = zeta_from_system(build_system(pd, p), grid)
         for w, v in zip(grid, vec):
-            assert abs(v - zeta(pd, p, float(w))) < 1e-14
+            assert abs(v - zeta_from_system(build_system(pd, p), float(w))) < 1e-14
         cgrid = grid + 0.2j
-        cvec = zeta(pd, p, cgrid, FLIP_A)
+        cvec = zeta_from_system(build_system(pd, p), cgrid, FLIP_A)
         for w, v in zip(cgrid, cvec):
-            assert abs(v - zeta(pd, p, complex(w), FLIP_A)) < 1e-14
+            assert abs(v - zeta_from_system(build_system(pd, p), complex(w), FLIP_A)) < 1e-14
 
     def test_matches_numpy_determinant_of_m(self):
         p = make(g=0.35, ga=0.2, gb=0.4)
         pd = derive_phase(p)
         w = 0.6 - 0.2j
-        assert abs(zeta(pd, p, w) - np.linalg.det(m_matrix(pd, p, w))) < 1e-12
+        det_val = np.linalg.det(m_matrix(pd, p, w))
+        assert abs(zeta_from_system(build_system(pd, p), w) - det_val) < 1e-12
 
     def test_conjugation_symmetry(self):
         rng = np.random.default_rng(11)
@@ -233,8 +234,8 @@ class TestZeta:
             )
             pd = derive_phase(p)
             w = rng.uniform(0.05, 2.5)
-            lhs = np.conj(zeta(pd, p, w, INPUT))
-            rhs = zeta(pd, p, w, flip_both)
+            lhs = np.conj(zeta_from_system(build_system(pd, p), w, INPUT))
+            rhs = zeta_from_system(build_system(pd, p), w, flip_both)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -281,7 +282,7 @@ class TestQuarticCoefficients:
             p = make(omega_a=wa, omega_b=wb, g=g, ga=rng.uniform(0, 0.5), gb=rng.uniform(0, 0.5))
             pd = derive_phase(p)
             w = complex(rng.uniform(-3, 3), rng.uniform(-1, 0.2))
-            det_val = zeta(pd, p, w)
+            det_val = zeta_from_system(build_system(pd, p), w)
             poly_val = np.polyval(zeta_quartic_coeffs(pd, p), w)
             assert abs(det_val - poly_val) < 1e-10 * max(1.0, abs(poly_val))
 

@@ -1,4 +1,3 @@
-import io
 import math
 from functools import partial
 
@@ -19,8 +18,14 @@ from opendicke.model import (
     gamma_of,
 )
 from opendicke.model import _superradiant_fields
-from opendicke.scattering import find_minima, lamb_shift, s11, s_matrix, sweep_spectrum
-from opendicke.scattering import write_spectrum
+from opendicke.scattering import (
+    find_minima,
+    lamb_shift,
+    s11,
+    s_matrix,
+    spectrum_text,
+    sweep_spectrum,
+)
 from opendicke.squeezing import QuadratureSpec, dispersive_output_coefficient
 
 from conftest import make
@@ -59,6 +64,26 @@ class TestValidation:
         for field in ("omega_a", "omega_b", "g"):
             with pytest.raises(ValueError, match="finite"):
                 make(**{field: bad})
+
+    @pytest.mark.parametrize("point", [
+        (1e-200, 1e-200, 0.0),  # omega_a omega_b underflows to 0
+        (1.0, 1.0, 1e160),  # g^2 overflows
+        (1e200, 1e200, 0.0),  # omega_a omega_b overflows
+    ], ids=["product-underflow", "coupling-overflow", "product-overflow"])
+    def test_points_beyond_float_range_rejected(self, point):
+        # Each would reach derive_phase as a ZeroDivisionError or OverflowError.
+        wa, wb, g = point
+        message = (
+            "omega_a omega_b must be finite and positive and 4 g^2 / (omega_a omega_b)"
+            f" finite, got omega_a = {wa}, omega_b = {wb}, g = {g}"
+        )
+        with pytest.raises(ValueError) as exc:
+            make(omega_a=wa, omega_b=wb, g=g)
+        assert str(exc.value) == message
+
+    def test_points_inside_float_range_accepted(self):
+        assert derive_phase(make(omega_a=1e-150, omega_b=1e-150)).g_c == 0.5e-150
+        assert derive_phase(make(g=1e70)).lam == 4e140
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_bath_rejected(self, bad):
@@ -284,12 +309,9 @@ POINT = make(g=0.3, ga=0.1, gb=0.2)
 PROBE = np.linspace(0.1, 2.0, 50)
 
 
-def _write_spectrum(sweep, probe):
-    out = io.StringIO()
-    try:
-        write_spectrum(out, "csv", POINT, "ratio", sweep, probe)
-    finally:
-        assert out.getvalue() == ""  # a rejected input writes nothing
+def _spectrum_text(sweep, probe):
+    # Not iterated: a rejected input raises at the call, before any text exists.
+    spectrum_text("csv", POINT, "ratio", sweep, probe)
 
 
 # Every library entry that takes a frequency input: (id, call, kind, name its
@@ -306,8 +328,8 @@ FREQUENCY_ENTRIES = [
     ("density", partial(bath_condensate_density, POINT, "a"), "scalar", "bath frequency omega"),
     ("spectrum-probe", partial(sweep_spectrum, POINT, "ratio", [1.0]), "grid", "probe grid"),
     ("spectrum-sweep", lambda w: sweep_spectrum(POINT, "ratio", w, PROBE), "grid", "sweep grid"),
-    ("write-probe", partial(_write_spectrum, [1.0]), "grid", "probe grid"),
-    ("write-sweep", lambda w: _write_spectrum(w, PROBE), "grid", "sweep grid"),
+    ("write-probe", partial(_spectrum_text, [1.0]), "grid", "probe grid"),
+    ("write-sweep", lambda w: _spectrum_text(w, PROBE), "grid", "sweep grid"),
     ("lamb_shift", partial(lamb_shift, POINT, "lower"), "grid", "probe frequencies"),
     ("find_minima", lambda w: find_minima(w, np.ones(3)), "minima", "probe frequencies"),
     ("eigen-sweep", partial(sweep_eigenfrequencies, POINT, "omega_b"), "grid", "sweep grid"),
@@ -353,3 +375,18 @@ class TestFrequencyInputContract:
         assert name in message
         if bad is not None:
             assert message.endswith(f", got {bad}")
+
+
+@pytest.mark.parametrize("sweep", [
+    partial(sweep_eigenfrequencies, POINT, "g"),
+    partial(sweep_spectrum, POINT, "g", probe_frequencies=PROBE),
+    partial(spectrum_text, "json", POINT, "g", probe_frequencies=PROBE),
+], ids=["eigen", "spectrum", "spectrum-text"])
+def test_every_sweep_names_the_value_that_leaves_the_domain(sweep):
+    # One wording from resolve_point, whichever library sweep meets the value.
+    message = (
+        "sweep leaves the model's domain at g = -0.1: coupling g must be nonnegative, got -0.1"
+    )
+    with pytest.raises(ValueError) as exc:
+        sweep([-0.1, 0.2])
+    assert str(exc.value) == message
