@@ -21,10 +21,10 @@ with gamma_j = gamma_j(omega) carrying the signature signs.
 
 Numerically zeta is one Laplace expansion over the two port blocks of M,
 reading A from the four real entries a BogoliubovSystem holds. _photon_half
-holds the photon-port entries, which depend only on omega_a, omega and
+holds the photon-port quantities, which depend only on omega_a, omega and
 gamma_a; _matter_minors and _port_zeta hold the rest. zeta_from_system
 composes them for one system, and s11_rows, S11 itself, shares the photon
-entries across a block of systems with one omega_a and one photon bath.
+quantities across a block of systems, S11_TILE probe points at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ __all__ = [
     "s11_rows",
     "zeta_constant_term",
 ]
+
+# Probe points per s11_rows tile: 64 kB per complex temporary.
+S11_TILE = 4096
 
 
 @dataclass(frozen=True)
@@ -157,39 +160,35 @@ def _matter_minors(a02, a22, a23, omega, gb) -> tuple:
     """The 2x2 minors d02, d03, d23 of M's rows 2, 3 (the matter port).
 
     Columns 0 and 1 of those rows are (a02, a02) and (-a02, -a02), so d12 and
-    d13 are d02 and d03 exactly, and d01 vanishes (see _port_zeta). Each entry
-    is dropped once spent, which lowers the peak of an S11 block by two probe
-    rows (see s11_rows)."""
+    d13 are d02 and d03 exactly, and d01 vanishes (see _port_zeta)."""
     hb = -0.5j * gb
     na02 = -a02
     m22 = a22 + hb - omega
     m23 = a23 - hb
     m32 = -a23 - hb
     m33 = -a22 + hb - omega
-    del hb
     d23 = m22 * m33 - m23 * m32
-    d02 = a02 * m32 - m22 * na02
-    del m22, m32
-    return d02, a02 * m33 - m23 * na02, d23
+    return a02 * m32 - m22 * na02, a02 * m33 - m23 * na02, d23
 
 
 def _photon_half(a00, omega, ga) -> tuple:
-    """The entries (nha, m00, m11) of M's rows 0, 1 (the photon port), which
-    depend only on A[0, 0], omega and that port's rate ga (see _port_zeta).
+    """The entries (nha, m00, m11) of M's rows 0, 1 (the photon port) and
+    their minor c01, which depend only on A[0, 0], omega and that port's
+    rate ga (see _port_zeta).
 
     S11 grid rows share omega, A[0, 0] = omega_a and the photon bath, so
-    s11_rows evaluates this once per block of rows."""
+    s11_rows evaluates this once per block tile."""
     ha = -0.5j * ga
     nha = -ha
     m00 = a00 + ha - omega
     m11 = -a00 + ha - omega
-    return nha, m00, m11
+    return nha, m00, m11, m00 * m11 - nha * nha
 
 
 def _port_zeta(a02, photon: tuple, matter: tuple):
     """det M by Laplace expansion over rows 0, 1 (the photon port), given
-    that port's entries from _photon_half and the matter minors of
-    _matter_minors.
+    that port's entries and minor c01 from _photon_half and the matter
+    minors of _matter_minors.
 
     Row pattern of M: the diagonal picks up (h - omega), the partner column
     in the same port block picks up -h, and cross-port entries are bare A
@@ -200,10 +199,9 @@ def _port_zeta(a02, photon: tuple, matter: tuple):
     it (the golden digests pin those bits); the + c23 d01 term stays because
     it turns a -0.0 sum into +0.0. Entries may be scalars or arrays.
     """
-    nha, m00, m11 = photon
+    nha, m00, m11, c01 = photon
     d02, d03, d23 = matter
     na02 = -a02
-    c01 = m00 * m11 - nha * nha
     c02 = m00 * na02 - a02 * nha
     c12 = nha * na02 - a02 * m11
     c23 = a02 * na02 - a02 * na02
@@ -230,39 +228,45 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
     return _port_zeta(a02, _photon_half(a00, omega, ga), matter)
 
 
-def s11_rows(systems, omega) -> list:
+@np.errstate(all="ignore")  # an overflow raises the ValueError of _s11_tile instead
+def s11_rows(systems, omega):
     """S11 = zeta(omega; FLIP_A) / zeta(omega; INPUT) of each system of a
     block, in order, bit-identical to the ratio of the two zeta_from_system
     calls of that system alone at any nonzero omega (S11 probes are
-    positive).
+    positive): one complex array of shape (len(systems), *omega.shape), or
+    for a scalar omega a list of complex.
 
     The systems of a block must share A[0, 0] = omega_a and the photon bath,
     as the rows of every spectrum sweep do; otherwise ValueError is raised at
-    once. The photon rate and the photon entries at -gamma_a and +gamma_a
-    are evaluated once per block. Each row then costs only the matter rate,
-    the matter minors and the rest of the expansion.
-
-    The photon minor c01 stays per row in _port_zeta: held across the block
-    too, it would raise the peak of a one-system block (s11, lamb_shift) by
-    two probe rows, past what the allocator keeps mapped after a grid, so
-    that every later s11 call faults its rows in anew."""
+    once. An array omega is evaluated in tiles of S11_TILE points, which
+    bound every temporary. Per tile the photon rate and the photon
+    quantities at -gamma_a and +gamma_a are evaluated once for the block;
+    each row then costs the matter rate, matter minors and the expansion.
+    A row that is not finite raises ValueError naming the probe and rates."""
     a00, bath_a = systems[0].a_entries[0], systems[0].bath_a
     if any(s.a_entries[0] != a00 or s.bath_a != bath_a for s in systems):
         raise ValueError("the systems of an S11 block must share omega_a and the photon bath")
-    gamma_a = gamma_of(bath_a, omega)
+    if not isinstance(omega, np.ndarray):
+        return list(_s11_tile(systems, omega))
+    out = np.empty((len(systems), omega.size), dtype=complex)
+    probe = omega.reshape(-1)
+    for i in range(0, probe.size, S11_TILE):
+        for k, row in enumerate(_s11_tile(systems, probe[i : i + S11_TILE])):
+            out[k, i : i + S11_TILE] = row
+    return out.reshape(len(systems), *omega.shape)
+
+
+def _s11_tile(systems, omega):
+    """Yield S11 of each system of a block at one probe tile (see s11_rows)."""
+    a00 = systems[0].a_entries[0]
+    gamma_a = gamma_of(systems[0].bath_a, omega)
     num_half = _photon_half(a00, omega, FLIP_A.sign_a * gamma_a)
     den_half = _photon_half(a00, omega, INPUT.sign_a * gamma_a)
-    # For the same reason the photon rate is dropped once both halves exist,
-    # and each row's matter minors once both terms exist: kept, the rate adds
-    # half a probe row to a one-system peak and the minors live on into the
-    # next row's, and the dip-scan pass faults 20k-66k pages instead of 16k.
-    del gamma_a
-    rows = []
     for system in systems:
         _, a02, a22, a23 = system.a_entries
-        matter = _matter_minors(a02, a22, a23, omega, INPUT.sign_b * gamma_of(system.bath_b, omega))
+        gamma_b = gamma_of(system.bath_b, omega)
+        matter = _matter_minors(a02, a22, a23, omega, INPUT.sign_b * gamma_b)
         num, den = _port_zeta(a02, num_half, matter), _port_zeta(a02, den_half, matter)
-        del matter
         # A real-axis denominator zero only happens at measure-zero parameter
         # coincidences (an undamped decoupled mode hit exactly on resonance);
         # there the numerator shares the vanishing factor, so the ratio is
@@ -273,8 +277,15 @@ def s11_rows(systems, omega) -> list:
                 shifted = np.where(den == 0, shifted, omega)
             num = zeta_from_system(system, shifted, FLIP_A)
             den = zeta_from_system(system, shifted, INPUT)
-        rows.append(num / den)
-    return rows
+        row = num / den
+        if not np.isfinite(row).all():
+            at, cells = np.argmin(np.isfinite(row)), np.broadcast_arrays(omega, gamma_a, gamma_b)
+            w, ga, gb = (float(np.ravel(x)[at]) for x in cells)
+            raise ValueError(
+                f"S11 is not finite at probe frequency {w}, where the port rates are"
+                f" gamma_a = {ga} and gamma_b = {gb}"
+            )
+        yield row
 
 
 def zeta_constant_term(phase_data: PhaseData, params: ModelParams) -> float:

@@ -155,12 +155,17 @@ class ModelParams:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
         if self.g < 0:
             raise ValueError(f"coupling g must be nonnegative, got {self.g}")
-        # derive_phase's lambda, with g * g so that an overflow is inf, not an error.
-        wa_wb = self.omega_a * self.omega_b
-        if not (0.0 < wa_wb < math.inf and 4.0 * (self.g * self.g) / wa_wb < math.inf):
+        # Every field of derive_phase must be finite. Its ** raises on an
+        # overflow, and its lambda on an omega_a omega_b that underflows to 0.
+        try:
+            pd = derive_phase(self)
+            fields = [v for v in vars(pd).values() if v is not pd.phase]
+        except (OverflowError, ZeroDivisionError):
+            fields = [math.inf]
+        if not all(map(math.isfinite, fields)):
             raise ValueError(
-                "omega_a omega_b must be finite and positive and 4 g^2 / (omega_a omega_b)"
-                f" finite, got omega_a = {self.omega_a}, omega_b = {self.omega_b}, g = {self.g}"
+                "every PhaseData field of the point must be finite, got"
+                f" omega_a = {self.omega_a}, omega_b = {self.omega_b}, g = {self.g}"
             )
 
 

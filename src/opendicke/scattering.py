@@ -162,7 +162,7 @@ def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:
     """S11 rows (as fmt text when fmt is set) and phase labels of a block."""
     points, sweep, probe, fmt, include_phase = task
     phases = [derive_phase(p) for p in points]
-    values = np.vstack(s11_rows([build_system(pd, p) for pd, p in zip(phases, points)], probe))
+    values = s11_rows([build_system(pd, p) for pd, p in zip(phases, points)], probe)
     labels = [pd.phase.value for pd in phases]
     if fmt is not None:
         values = _format_block(fmt, include_phase, sweep, probe, values, labels)

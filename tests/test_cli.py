@@ -258,11 +258,20 @@ class TestFailureModes:
         ["critical", "--omega-a", "1e-200", "--omega-b", "1e-200"],
         ["condensates", "--g", "1e160", "--omega", "1"],
         ["eigen", "--omega-a", "1e200", "--omega-b", "1e200", "--sweep", "g:0:7e199:5"],
-    ], ids=["critical-underflow", "condensates-overflow", "eigen-overflow"])
+        ["condensates", "--g", "1e100"],
+        ["condensates", "--omega-a", "1e-200", "--omega-b", "1e200", "--g", "1e100"],
+        ["condensates", "--omega-a", "1e-200", "--omega-b", "1e250", "--g", "1e30"],
+        ["eigen", "--omega-b", "1e200", "--sweep", "g:1e130:2e130:2"],
+        ["spectrum", "--omega-b", "1e200", "--sweep", "g:1e130:2e130:2", "--probe", "0.5:1:3"],
+    ], ids=[
+        "critical-underflow", "condensates-overflow", "eigen-overflow", "condensates-lam-squared",
+        "condensates-lam-squared-via-product", "condensates-alpha-prefactor", "eigen-d-term",
+        "spectrum-d-term",
+    ])
     def test_points_beyond_float_range_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "x.out"
         assert run(argv + ["-o", str(out)]) == 2
-        assert "must be finite and positive and 4 g^2" in capsys.readouterr().err
+        assert "every PhaseData field of the point must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -289,6 +298,21 @@ class TestFailureModes:
         out = tmp_path / "missing" / "x.out"
         assert run(["spectrum", *argv, "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_s11_is_usage_error(self, workers, fmt, tmp_path, capsys):
+        # The rows overflow as the output is written: the temp file goes too.
+        # 30 rows are four pool tasks, so two workers really run.
+        argv = ["spectrum", "--gamma-a", "1e300", "--g", "0.3", "--sweep", "g:0.1:0.3:30"]
+        out = tmp_path / "x.out"
+        argv += ["--probe", "0.5:1:5", "--format", fmt, "--parallel", workers, "-o", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: S11 is not finite at probe frequency 0.5, where the port rates are"
+            " gamma_a = 1e+300 and gamma_b = 0.1\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_sweep_axis(self, capsys):

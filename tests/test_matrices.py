@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from opendicke.matrices import (
     FLIP_A,
     INPUT,
     OUTPUT,
+    S11_TILE,
     BogoliubovSystem,
     ZetaSignature,
     build_a_matrix,
@@ -436,6 +438,42 @@ class TestS11Terms:
         for p, row, grid_row in zip(points, rows, grid.values):
             assert _same_bits(grid_row, row)
             assert _same_bits(s11(p, probe), row)
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (S11_TILE - 1,), (S11_TILE,), (S11_TILE + 1,), (3 * S11_TILE + 7,), (7, 1201),
+    ], ids=["1", "T-1", "T", "T+1", "3T+7", "2d"])
+    def test_tiles_keep_the_bits_of_the_whole_row(self, shape):
+        # Each row is S11_TILE-point tiles of an elementwise kernel; a block
+        # straddling g_c must carry the bits of one zeta call per whole row.
+        base = make(omega_a=1.0, omega_b=1.2, ga=0.05, gb=0.08, sa=-0.4, sb=0.5)
+        systems = self.block([resolve_point(base, "g", v, False) for v in (0.3, 0.8)])
+        probe = np.linspace(0.01, 4.0, np.prod(shape)).reshape(shape)
+        rows = s11_rows(systems, probe)
+        assert rows.shape == (2, *shape) and rows.dtype == complex
+        for system, row in zip(systems, rows):
+            assert _same_bits(row, self.ratio(system, probe))
+
+    def test_ulp_shift_in_a_later_tile(self):
+        # The resonance 1.0 is the first probe of the second tile.
+        p = make(g=0.0, ga=0.3, gb=0.0)
+        (system,) = systems = self.block([p])
+        probe = np.linspace(0.5, 1.5, 2 * S11_TILE + 1)
+        assert np.flatnonzero(probe == 1.0).tolist() == [S11_TILE]
+        shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
+        (row,) = s11_rows(systems, probe)
+        assert _same_bits(row, self.ratio(system, shifted))
+
+    def test_one_system_s11_peaks_below_two_output_rows(self):
+        # Every temporary is bounded by the tile, so the output row dominates.
+        p = make(g=0.3, ga=0.05, gb=0.08, sa=-0.4, sb=0.5)
+        probe = np.linspace(0.01, 4.0, 200_000)
+        tracemalloc.start()
+        try:
+            row = s11(p, probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * row.nbytes
 
     def test_block_must_share_omega_a_and_the_photon_bath(self):
         p = make(g=0.2, ga=0.05, gb=0.08, sa=-0.3)

@@ -69,13 +69,21 @@ class TestValidation:
         (1e-200, 1e-200, 0.0),  # omega_a omega_b underflows to 0
         (1.0, 1.0, 1e160),  # g^2 overflows
         (1e200, 1e200, 0.0),  # omega_a omega_b overflows
-    ], ids=["product-underflow", "coupling-overflow", "product-overflow"])
+        (1.0, 1.0, 1e100),  # lam finite, (lam + 1)^2 overflows
+        (1e-200, 1e200, 1e100),  # the same through the product
+        (1e-200, 1e250, 1e30),  # lam finite, (g / omega_a)^2 overflows
+        (1.0, 1e200, 1e130),  # lam finite, d_term is inf
+    ], ids=[
+        "product-underflow", "coupling-overflow", "product-overflow",
+        "lam-squared", "lam-squared-via-product", "alpha-prefactor", "d-term",
+    ])
     def test_points_beyond_float_range_rejected(self, point):
-        # Each would reach derive_phase as a ZeroDivisionError or OverflowError.
+        # Each would reach derive_phase as a ZeroDivisionError or
+        # OverflowError, or leave a PhaseData field infinite.
         wa, wb, g = point
         message = (
-            "omega_a omega_b must be finite and positive and 4 g^2 / (omega_a omega_b)"
-            f" finite, got omega_a = {wa}, omega_b = {wb}, g = {g}"
+            "every PhaseData field of the point must be finite,"
+            f" got omega_a = {wa}, omega_b = {wb}, g = {g}"
         )
         with pytest.raises(ValueError) as exc:
             make(omega_a=wa, omega_b=wb, g=g)

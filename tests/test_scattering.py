@@ -83,6 +83,23 @@ class TestS11:
         with pytest.raises(ValueError, match="finite"):
             s_matrix(make(ga=0.1, gb=0.2), bad)
 
+    @pytest.mark.parametrize("sa, probe, w, rate_a", [
+        (0.0, 0.75, 0.75, 1e300),
+        (0.0, np.linspace(0.5, 1.0, 5), 0.5, 1e300),
+        (2.0, np.array([0.5, 1e50, 1e200]), 1e200, math.inf),
+    ], ids=["scalar", "row", "rate-overflow"])
+    def test_overflowing_row_names_the_probe_and_rates(self, sa, probe, w, rate_a):
+        # The numerator and denominator overflow, and in the last case the
+        # photon rate too; no RuntimeWarning escapes (the test configuration
+        # makes one an error).
+        p = make(g=0.3, ga=1e300 if sa == 0.0 else 1e-100, gb=0.2, sa=sa, sb=1.0)
+        with pytest.raises(ValueError) as exc:
+            s11(p, probe)
+        assert str(exc.value) == (
+            f"S11 is not finite at probe frequency {w}, where the port rates are"
+            f" gamma_a = {rate_a} and gamma_b = {0.2 * w}"
+        )
+
     def test_denominator_vanishes_at_eigenfrequencies(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
