@@ -80,7 +80,8 @@ def gamma_of(bath: BathSpec, omega):
     and the symmetry gamma(-conj(w)) = conj(gamma(w)) (each axis point is its
     own mirror) forces the real principal value
     gamma0 * |Im w|**s * cos(pi s / 2) there. Accepts scalars or ndarrays.
-    Raises at omega = 0 when s < 0.
+    Raises ValueError at omega = 0 when s < 0, and where a scalar rate
+    overflows.
     """
     s = bath.exponent_s
     g0 = bath.gamma0
@@ -103,11 +104,15 @@ def gamma_of(bath: BathSpec, omega):
         if s < 0:
             raise ValueError("gamma(omega) is singular at omega = 0 for s < 0")
         return 0.0
-    if isinstance(omega, complex) and omega.imag != 0.0:
-        if omega.real == 0.0:
-            return g0 * abs(omega.imag) ** s * math.cos(0.5 * math.pi * s)
-        return g0 * (omega * omega) ** (0.5 * s)
-    return g0 * abs(omega) ** s
+    try:
+        if isinstance(omega, complex) and omega.imag != 0.0:
+            if omega.real == 0.0:
+                return g0 * abs(omega.imag) ** s * math.cos(0.5 * math.pi * s)
+            return g0 * (omega * omega) ** (0.5 * s)
+        return g0 * abs(omega) ** s
+    except OverflowError:
+        # Python's ** raises where the array path's numpy power gives inf.
+        raise ValueError(f"gamma(omega) overflows at omega = {omega} for exponent s = {s}") from None
 
 
 def real_grid(values, name: str) -> np.ndarray:

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .model import ModelParams, check_frequency, derive_phase, gamma_of, real_grid, resolve_point
-from .matrices import INPUT, OUTPUT, build_system, m_matrix, s11_rows
+from .matrices import INPUT, OUTPUT, S11_TILE, build_system, m_matrix, s11_rows
 # bench/tracer.py wraps scattering.zeta_from_system, so the name stays importable here.
 from .matrices import zeta_from_system  # noqa: F401
 from .eigen import closed_eigenfrequencies
@@ -145,17 +145,86 @@ def _format_block(fmt: str, include_phase: bool, sweep, probe, values, labels) -
     if fmt == "json":
         # The C encoder's float repr and NaN/Infinity spelling, without brackets.
         return json.dumps(np.abs(values).ravel().tolist(), separators=(",", ":"))[1:-1]
-    # One template for the whole block: the probe column is formatted once per
-    # block, the sweep value and label once per row, and a single % fills
-    # re, im and |S11| of every cell.
-    cells = ["%.11e," % w + "%.11e,%.11e,%.11e" for w in probe.tolist()]
-    rows = []
-    for i, v in enumerate(sweep.tolist()):
-        head = "%.11e," % v
-        tail = f",{labels[i]}\n" if include_phase else "\n"
-        rows.append(head + (tail + head).join(cells) + tail)
-    nums = np.stack((values.real, values.imag, np.abs(values)), axis=-1)
-    return "".join(rows) % tuple(nums.ravel().tolist())
+    # Each CSV line is one row of a NUL-padded uint8 character matrix: the
+    # sweep value's and probe's slots (formatted once per block), the re, im
+    # and |S11| slots, then the row's tail; dropping every NUL leaves the
+    # lines. S11_TILE cells at a time bound the matrix.
+    heads, omegas = _e11_slots(sweep).T, _e11_slots(probe).T
+    tails = _text_matrix([f",{label}\n" if include_phase else "\n" for label in labels])
+    cells = values.reshape(-1)
+    text = []
+    for k in range(0, cells.size, S11_TILE):
+        tile = cells[k : k + S11_TILE]
+        row, col = np.divmod(np.arange(k, k + tile.size), probe.size)
+        re, im, mag = (_e11_slots(part).T for part in (tile.real, tile.imag, np.abs(tile)))
+        # |S11| drops its comma: the tail follows.
+        parts = (heads.take(row, axis=0), omegas.take(col, axis=0), re, im, mag[:, :-1])
+        lines = np.concatenate((*parts, tails.take(row, axis=0)), axis=1)
+        text.append(lines[lines != 0].tobytes().decode("ascii"))
+    return "".join(text)
+
+
+def _text_matrix(strings) -> np.ndarray:
+    """The ASCII strings as the rows of a uint8 matrix, NUL-padded to the longest."""
+    chars = np.array([s.encode("ascii") for s in strings], dtype=bytes)
+    return chars.view(np.uint8).reshape(len(strings), chars.itemsize)
+
+
+# 10**k for k in 0..22, each exactly a double, and the text of every
+# exponent the vectorized path writes, one column each.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_EXPONENTS = _text_matrix(["e%+03d" % k for k in range(-11, 13)]).T.copy()
+
+
+@np.errstate(all="ignore")  # non-finite and out-of-window values take the fallback
+def _e11_slots(x: np.ndarray) -> np.ndarray:
+    """'%.11e,' % v of each float v of a 1-D x as a column of 20 NUL-padded bytes.
+
+    With E = floor(log10|v|) held to [-11, 11], y = |v| * 10**(11 - E) takes
+    one rounding, since the power is an exact double. Where y lies in
+    [1e11, 1e12), its nearest integer n and E are the digits and exponent
+    '%.11e' prints: rounding is monotone and every half-integer below 2**40
+    is a double, so y and the exact product round to the same integer
+    unless y is a half-integer itself. (Where log10 puts E one off, y
+    leaves the range or is 1e11, which prints the same.) n's twelve digits
+    come from integer divisions of its two 6-digit halves. Zero is formatted
+    here too. Every other value takes Python's '%.11e', the reference for
+    every cell: y a half-integer (exact ties among them), y out of range
+    (every exponent outside [-11, 11]), NaN and inf."""
+    a = np.abs(x)
+    usable = np.isfinite(a) & (a != 0.0)
+    e = np.clip(np.floor(np.log10(np.where(usable, a, 1.0))), -11, 11)
+    y = a * _POW10[(11.0 - e).astype(np.intp)]
+    whole = np.floor(y)
+    frac = y - whole
+    usable &= (y >= 1e11) & (y < 1e12) & (frac != 0.5)
+    n = whole + (frac > 0.5)
+    carry = n == 1e12  # 9.9999999999996 prints as 1.00000000000e+01
+    n -= 9e11 * carry
+    e = np.where(usable, e + carry, 0.0)
+    out = np.empty((20, x.size), dtype=np.uint8)
+    # Rows 2-7 and 8-13 take the prefixes of n's 6-digit halves, then (mod
+    # 256, so exactly) the differences that leave one digit each.
+    hi = np.floor(n / 1e6)
+    for half, first in ((hi, 2), (n - 1e6 * hi, 8)):
+        half = half.astype(np.uint32)
+        for k in range(6):
+            out[first + k] = half // 10 ** (5 - k)
+    out[3:8] -= 10 * out[2:7]
+    out[9:14] -= 10 * out[8:13]
+    out[1] = out[2]
+    out[1:14] += ord("0")
+    out[0] = np.signbit(x) * ord("-")
+    out[2] = ord(".")
+    out[14:18] = _EXPONENTS[:, (e + 11.0).astype(np.intp)]
+    out[18] = 0
+    out[19] = ord(",")
+    fallback = np.flatnonzero(~usable & (a != 0.0))
+    if fallback.size:
+        text = _text_matrix(["%.11e" % v for v in x[fallback].tolist()])
+        out[:19, fallback] = 0
+        out[: text.shape[1], fallback] = text.T
+    return out
 
 
 def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opendicke import cli
 from opendicke.eigen import sweep_eigenfrequencies
 from opendicke.model import (
     AltCouplingParams,
@@ -383,6 +384,24 @@ class TestFrequencyInputContract:
         assert name in message
         if bad is not None:
             assert message.endswith(f", got {bad}")
+
+    # A quadratic photon bath at 1e200: Python's float ** overflows in the
+    # scalar rate, where the array path's numpy power gives inf.
+    @pytest.mark.parametrize("call", [
+        partial(gamma_of, BathSpec(0.1, 2.0)),
+        partial(s11, make(g=0.3, ga=0.1, gb=0.2, sa=2.0)),
+        partial(s_matrix, make(g=0.3, ga=0.1, gb=0.2, sa=2.0)),
+        partial(dispersive_output_coefficient, make(g=0.3, ga=0.1, sa=2.0)),
+    ], ids=["gamma_of", "s11", "s_matrix", "dispersive"])
+    def test_a_scalar_rate_that_overflows_raises_a_value_error(self, call):
+        message = "gamma(omega) overflows at omega = 1e+200 for exponent s = 2.0"
+        with pytest.raises(ValueError) as exc:
+            call(1e200)
+        assert str(exc.value) == message
+
+    def test_the_cli_exits_2_where_a_scalar_rate_overflows(self, capsys):
+        assert cli.main(["squeeze", "--omega", "1e200", "--s-a", "2"]) == 2
+        assert "gamma(omega) overflows at omega = 1e+200" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep", [

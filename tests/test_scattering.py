@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opendicke.model import BathSpec, ModelParams, derive_phase
-from opendicke.matrices import INPUT, build_system, zeta_from_system
+from opendicke.matrices import INPUT, S11_TILE, build_system, zeta_from_system
 from opendicke.eigen import closed_eigenfrequencies, open_eigenfrequencies
 from opendicke.scattering import (
     FORMAT_ROWS,
@@ -19,6 +21,7 @@ from opendicke.scattering import (
     spectrum_text,
     sweep_spectrum,
 )
+from opendicke.scattering import _e11_slots
 
 from conftest import make
 
@@ -416,14 +419,15 @@ class TestBlockFormatters:
     """The block formatters against independent whole-grid references."""
 
     @staticmethod
-    def _grid(rows):
+    def _grid(rows, probes=7):
         rng = np.random.default_rng(rows)
-        probe = np.linspace(0.1, 1.7, 7)
+        probe = np.linspace(0.1, 1.7, probes)
         values = rng.normal(size=(rows, probe.size)) + 1j * rng.normal(size=(rows, probe.size))
         values[0, 0] = complex(-0.0, -0.0)
         values[0, 1] = complex(math.nan, 0.5)
         values[-1, 2] = complex(-math.inf, 1.0)
         values[-1, 3] = complex(0.25, -0.0)
+        values[-1, 4] = complex(1e-300, -1e300)
         labels = ("normal", "critical", "superradiant") * rows
         return SpectrumGrid(
             axis="g",
@@ -452,9 +456,11 @@ class TestBlockFormatters:
             np.savetxt(out, block, fmt=f"{v:.11e},%.11e,%.11e,%.11e,%.11e{tail}")
         return out.getvalue()
 
-    @pytest.mark.parametrize("rows", [2 * FORMAT_ROWS + 3, 1])
-    def test_csv_matches_savetxt(self, rows):
-        grid = self._grid(rows)
+    # The last grid's 8-row blocks span several S11_TILE-cell tiles, and
+    # every row of it crosses a tile edge.
+    @pytest.mark.parametrize("rows, probes", [(2 * FORMAT_ROWS + 3, 7), (1, 7), (3, S11_TILE + 5)])
+    def test_csv_matches_savetxt(self, rows, probes):
+        grid = self._grid(rows, probes)
         for include_phase in (False, True):
             out = io.StringIO()
             grid.to_csv(out, include_phase=include_phase)
@@ -462,6 +468,7 @@ class TestBlockFormatters:
         assert "-0.00000000000e+00,-0.00000000000e+00,0.00000000000e+00" in out.getvalue()
         assert ",nan,5.00000000000e-01,nan," in out.getvalue()
         assert ",-inf,1.00000000000e+00,inf," in out.getvalue()
+        assert ",1.00000000000e-300,-1.00000000000e+300,1.00000000000e+300," in out.getvalue()
 
     @pytest.mark.parametrize("rows", [2 * FORMAT_ROWS + 3, 1])
     def test_json_matches_whole_document_dumps(self, rows):
@@ -477,3 +484,56 @@ class TestBlockFormatters:
         assert text == json.dumps(doc, separators=(",", ":"))
         assert '"abs_s11":[0.0,NaN,' in text
         assert ",Infinity,0.25," in text
+
+
+def _e11_texts(values) -> list[str]:
+    """The vectorized formatter's text of each value, its comma removed."""
+    slots = _e11_slots(np.asarray(values, dtype=float)).T
+    return [bytes(slot[slot != 0]).decode("ascii")[:-1] for slot in slots]
+
+
+class TestE11Formatter:
+    """The CSV cell formatter is exactly Python's '%.11e' on every float64."""
+
+    # Exact ties (round half-even), carries into the next exponent, the
+    # exponent window's edges and what lies outside it.
+    PINNED = [
+        100000000000.5, 100000000001.5, 0.9999999999995, 9.999999999996,
+        999999999999.6, -9.999999999996e-6, 1e11, -1e11, 1e-11, -1e-11, 1e12,
+        1e-12, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 0.0, -0.0, math.nan, math.inf, -math.inf,
+    ]
+
+    def test_pinned_values(self):
+        assert _e11_texts(self.PINNED) == ["%.11e" % v for v in self.PINNED]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                # Every float64 bit pattern: both signs, subnormals, NaN, inf.
+                st.integers(0, 2**64 - 1).map(
+                    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+                ),
+                # The vectorized window, where most S11 cells fall.
+                st.floats(1e-11, 1e12).flatmap(lambda v: st.sampled_from([v, -v])),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_every_float64_matches_percent_format(self, values):
+        assert _e11_texts(values) == ["%.11e" % v for v in values]
+
+    def test_seeded_window_sweep_and_near_ties(self):
+        rng = np.random.default_rng(2024)
+        scale = 10.0 ** rng.integers(-13, 14, 30_000)
+        mantissas = rng.uniform(1.0, 10.0, 30_000)
+        # Doubles nearest the halves between two 12-digit integers, and the
+        # two doubles on either side of each: the scaled value rounds onto
+        # the half, or one or two ulps from it.
+        ties = (rng.integers(10**11, 10**12, 10_000) + 0.5) * 10.0 ** rng.integers(-22, 1, 10_000)
+        below, above = np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)
+        near = (ties, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf))
+        values = np.concatenate((mantissas * scale, -mantissas * scale, *near))
+        assert _e11_texts(values) == ["%.11e" % v for v in values.tolist()]
