@@ -108,7 +108,7 @@ class SpectrumGrid:
 
     def to_json(self) -> str:
         """Single document with the magnitude grid flattened row-major.
-        Floats use the shortest round-trip repr of json.dumps."""
+        Every float is byte for byte json.dumps's shortest round-trip repr."""
         return "".join(self._text("json", False))
 
     def _text(self, fmt: str, include_phase: bool):
@@ -142,26 +142,31 @@ def _grid_text(fmt: str, axis: str, sv, pf, include_phase: bool, blocks):
 
 
 def _format_block(fmt: str, include_phase: bool, sweep, probe, values, labels) -> str:
+    # Every cell's text is one row of a NUL-padded uint8 character matrix;
+    # dropping every NUL leaves the text. S11_TILE cells at a time bound it.
+    cells = values.reshape(-1)
+    starts = range(0, cells.size, S11_TILE)
     if fmt == "json":
-        # The C encoder's float repr and NaN/Infinity spelling, without brackets.
-        return json.dumps(np.abs(values).ravel().tolist(), separators=(",", ":"))[1:-1]
-    # Each CSV line is one row of a NUL-padded uint8 character matrix: the
-    # sweep value's and probe's slots (formatted once per block), the re, im
-    # and |S11| slots, then the row's tail; dropping every NUL leaves the
-    # lines. S11_TILE cells at a time bound the matrix.
+        # The C encoder's float text, each after a comma: the block drops the first.
+        return "".join(_ascii(_repr_slots(np.abs(cells[k : k + S11_TILE]))) for k in starts)[1:]
+    # A CSV line's row holds the sweep value's and probe's slots (formatted
+    # once per block), the re, im and |S11| slots, then the row's tail.
     heads, omegas = _e11_slots(sweep).T, _e11_slots(probe).T
     tails = _text_matrix([f",{label}\n" if include_phase else "\n" for label in labels])
-    cells = values.reshape(-1)
     text = []
-    for k in range(0, cells.size, S11_TILE):
+    for k in starts:
         tile = cells[k : k + S11_TILE]
         row, col = np.divmod(np.arange(k, k + tile.size), probe.size)
         re, im, mag = (_e11_slots(part).T for part in (tile.real, tile.imag, np.abs(tile)))
         # |S11| drops its comma: the tail follows.
         parts = (heads.take(row, axis=0), omegas.take(col, axis=0), re, im, mag[:, :-1])
-        lines = np.concatenate((*parts, tails.take(row, axis=0)), axis=1)
-        text.append(lines[lines != 0].tobytes().decode("ascii"))
+        text.append(_ascii(np.concatenate((*parts, tails.take(row, axis=0)), axis=1)))
     return "".join(text)
+
+
+def _ascii(chars: np.ndarray) -> str:
+    """The text of a NUL-padded uint8 character matrix, row by row."""
+    return chars.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _text_matrix(strings) -> np.ndarray:
@@ -225,6 +230,104 @@ def _e11_slots(x: np.ndarray) -> np.ndarray:
         out[:19, fallback] = 0
         out[: text.shape[1], fallback] = text.T
     return out
+
+
+def _veltkamp(x):
+    """x as hi + lo, each with at most 26 significant bits (Veltkamp's split)."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# Indexed by j = -E for the repr window's exponents E = 0..-4: the scale
+# 10**(16 - E) in Veltkamp halves, and half an ulp of 1.0 on that scale.
+_SCALE = _POW10[16:21]
+_SCALE_HI, _SCALE_LO = _veltkamp(_SCALE)
+_HALF_ULP = _SCALE * 2.0**-53
+_EXPONENT_BITS = np.int64(0x7FF << 52)
+# Text as words, indexed by value: every 4-digit group; the last group
+# without its trailing zeros; and, at 10 * j + d, a comma and the text up to
+# a first digit d (with its '.' where E = 0).
+_PAIRS = _text_matrix(["%02d" % k for k in range(100)]).view(np.uint16)
+_PAIRS_STRIPPED = _text_matrix([("%02d" % k).rstrip("0") for k in range(100)]).view(np.uint16)
+_GROUPS, _LAST_GROUPS = np.empty((2, 100, 100, 2), dtype=np.uint16)
+_GROUPS[..., 0], _GROUPS[..., 1] = _PAIRS, _PAIRS.T
+_LAST_GROUPS[..., 0], _LAST_GROUPS[..., 1] = _PAIRS, _PAIRS_STRIPPED.T
+_LAST_GROUPS[:, 0, 0] = _PAIRS_STRIPPED[:, 0]
+_GROUPS, _LAST_GROUPS = (table.view(np.uint32).ravel() for table in (_GROUPS, _LAST_GROUPS))
+_LEADS = _text_matrix(
+    [
+        (f",{d}." if j == 0 else f",0.{'0' * (j - 1)}{d}").ljust(8, "\0")
+        for j in range(5)
+        for d in range(10)
+    ]
+).view(np.uint64).ravel()
+
+
+def _repr_slots(x: np.ndarray) -> np.ndarray:
+    """',' + json.dumps(v) of each float v of a 1-D x as a row of 24 (or
+    more) NUL-padded bytes.
+
+    json.dumps writes repr(v): the shortest decimal that reads back as v,
+    and the nearest to v among those. For 1e-4 <= v < 10 its digits follow
+    '0.' and -E - 1 zeros, or form 'd.ddd' for E = 0, with E = floor(log10
+    v). Here X = v * 10**(16 - E) is exactly x_hi + x_lo (Dekker's product:
+    the power is an exact double), and X lies in (1e16, 1e17) unless log10
+    put E one off. X = n + frac, with n the nearest integer. v reads back
+    from the decimals strictly inside X +- half, half an ulp scaled (no
+    decimal of 17 digits lies on an end here; below a power of two the gap
+    is half as wide, but every power of two in the window has at most 10
+    digits and falls back as below). The 16-, 15- and 14-digit decimals
+    nearest X are its nearest multiples of q = 10, 100, 1000: n - r or
+    n - r + q, with r = n mod q. They lie inside iff r < half - frac or
+    q - r < half + frac; every term is an integer below 10**4 or a multiple
+    of 2**-47 below 16, so each test is exact. A multiple of q is one of
+    q / 10 too, so where a length fits every longer one fits: the shortest
+    that fits gives the digits, and n's own 17 always fit (|frac| <= 1/2 <
+    half). Its trailing zeros fall in the last 4-digit group. json.dumps
+    writes every other value: where 13 digits fit (a shorter decimal may
+    too), exact ties r + frac = q / 2 (repr rounds them half to even),
+    values outside the window, NaN and infinities."""
+    usable = (x >= 1e-4) & (x < 10.0)
+    v = np.where(usable, x, 1.0)
+    j = np.clip(-np.floor(np.log10(v)), 0, 4).astype(np.intp)
+    v_hi, v_lo = _veltkamp(v)
+    x_hi = v * _SCALE[j]
+    s_hi, s_lo = _SCALE_HI[j], _SCALE_LO[j]
+    x_lo = ((v_hi * s_hi - x_hi) + v_hi * s_lo + v_lo * s_hi) + v_lo * s_lo
+    usable &= (x_hi > 1e16) & (x_hi < 1e17)
+    # 2**floor(log2 v), from v's exponent bits, times half an ulp of 1.0 scaled.
+    half = (v.view(np.int64) & _EXPONENT_BITS).view(np.float64) * _HALF_ULP[j]
+    whole = np.rint(x_lo)
+    frac = x_lo - whole
+    n = x_hi.astype(np.int64) + whole.astype(np.int64)
+    low = (n - n // 10_000 * 10_000).astype(np.float64)
+    below, above = half - frac, half + frac
+    shift = np.zeros(x.size)
+    for q in (10.0, 100.0, 1000.0):
+        r = low - q * np.floor(low * (1.0 / q))  # exact for integers below 10**4
+        fits = (r < below) | (q - r < above)
+        shift = np.where(fits, q * (r + frac > q / 2) - r, shift)
+        usable &= r + frac != q / 2
+    usable &= (low >= below) & (10_000.0 - low >= above)
+    digits = n + shift.astype(np.int64)
+    top = digits // 10**8
+    first = top // 10**8
+    middle, bottom = top - first * 10**8, digits - top * 10**8
+    out = np.empty((x.size, 3), dtype=np.uint64)
+    out[:, 0] = _LEADS.take(10 * j + first, mode="clip")  # first > 9 only where X >= 1e17
+    words = out.view(np.uint32)
+    words[:, 2], words[:, 3] = _GROUPS[middle // 10**4], _GROUPS[middle % 10**4]
+    words[:, 4], words[:, 5] = _GROUPS[bottom // 10**4], _LAST_GROUPS[bottom % 10**4]
+    chars = out.view(np.uint8)
+    fallback = np.flatnonzero(~usable)
+    if fallback.size:
+        text = _text_matrix(["," + s for s in json.dumps(x[fallback].tolist())[1:-1].split(", ")])
+        if text.shape[1] > chars.shape[1]:  # up to 25 bytes: ',-2.2250738585072014e-308'
+            chars = np.pad(chars, ((0, 0), (0, text.shape[1] - chars.shape[1])))
+        chars[fallback] = 0
+        chars[fallback, : text.shape[1]] = text
+    return chars
 
 
 def _spectrum_block(task) -> tuple[np.ndarray | str, list[str]]:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from opendicke.scattering import (
     spectrum_text,
     sweep_spectrum,
 )
-from opendicke.scattering import _e11_slots
+from opendicke.scattering import _e11_slots, _format_block, _repr_slots
 
 from conftest import make
 
@@ -485,6 +486,31 @@ class TestBlockFormatters:
         assert '"abs_s11":[0.0,NaN,' in text
         assert ",Infinity,0.25," in text
 
+    def test_json_block_across_tiles_matches_dumps_of_the_magnitudes(self):
+        # Every row of the block crosses an S11_TILE-cell tile edge.
+        grid = self._grid(3, S11_TILE + 5)
+        block = _format_block(
+            "json", False, grid.sweep_values, grid.probe_frequencies, grid.values, grid.phase_labels
+        )
+        assert block == json.dumps(np.abs(grid.values).ravel().tolist(), separators=(",", ":"))[1:-1]
+        assert block.startswith("0.0,NaN,")
+        assert ",Infinity,0.25,1e+300," in block
+
+    def test_json_block_holds_no_float_list(self):
+        # One 8 x 20,000 block is 3.0 MB of text. The tiled formatter peaks
+        # at 6.0 MB; json.dumps of a list of its 160,000 floats at 12.1 MB.
+        values = np.random.default_rng(3).normal(size=(8, 20_000)) * (1 + 1j)
+        probe = np.linspace(0.1, 1.7, 20_000)
+        _format_block("json", False, None, probe, values[:, :10], None)  # first-call setup
+        tracemalloc.start()
+        try:
+            text = _format_block("json", False, None, probe, values, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 2.9e6
+        assert peak < 8e6
+
 
 def _e11_texts(values) -> list[str]:
     """The vectorized formatter's text of each value, its comma removed."""
@@ -537,3 +563,67 @@ class TestE11Formatter:
         near = (ties, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf))
         values = np.concatenate((mantissas * scale, -mantissas * scale, *near))
         assert _e11_texts(values) == ["%.11e" % v for v in values.tolist()]
+
+
+def _repr_texts(values) -> list[str]:
+    """The JSON cell formatter's text of each value, its comma removed."""
+    slots = _repr_slots(np.asarray(values, dtype=float))
+    return [bytes(slot[slot != 0]).decode("ascii")[1:] for slot in slots]
+
+
+class TestReprFormatter:
+    """The JSON cell formatter is exactly json.dumps on every float64."""
+
+    PINNED = [
+        # The window's edges, and where log10 puts E one off just below a power of ten.
+        1e-4, 9.999999999999999e-05, 0.9999999999999999, 1.0, 1.0000000000000004,
+        9.999999999999998, 10.0, 0.0009999999999999998, 0.0010000000000000002,
+        0.1, 1 / 3, 2 / 3,
+        # Powers of two, where the gap below is half the gap above.
+        *(2.0**-k for k in range(1, 15)),
+        # Shortest forms of 12, 15, 16 and 17 digits.
+        0.123456789012, 0.123456789012345, 0.1234567890123456, 0.12345678901234566,
+        # Exact ties between two 16-digit decimals: repr rounds them half to even.
+        65537 / 2**17, 65539 / 2**17, 8 * 65539 / 2**20,
+        5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf,
+    ]
+
+    def test_pinned_values(self):
+        assert _repr_texts(self.PINNED) == [json.dumps(v) for v in self.PINNED]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                # Every float64 bit pattern: both signs, subnormals, NaN, inf.
+                st.integers(0, 2**64 - 1).map(
+                    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+                ),
+                # The vectorized window, where every |S11| of a passive port falls.
+                st.floats(1e-4, 10.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_every_float64_matches_json_dumps(self, values):
+        assert _repr_texts(values) == [json.dumps(v) for v in values]
+
+    def test_seeded_sweep_near_midpoints_and_interval_ends(self):
+        # The doubles nearest the 16-digit decimals, the midpoints between
+        # two of them and the midpoints between two 17-digit decimals, and
+        # the three doubles on either side of each, across the window's E.
+        rng = np.random.default_rng(2025)
+        digits = rng.integers(10**15, 10**16, 3_000).tolist()
+        exponents = rng.integers(-4, 1, 3_000).tolist()
+        points = [float(f"{d}e{e - 15}") for d, e in zip(digits, exponents)]
+        points += [float(f"{d}5e{e - 16}") for d, e in zip(digits, exponents)]
+        points += [float(f"{d}{d % 10}5e{e - 17}") for d, e in zip(digits, exponents)]
+        values = [np.array(points)]
+        for direction in (0.0, np.inf):
+            step = values[0]
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                values.append(step)
+        values = np.concatenate(values)
+        assert _repr_texts(values) == [json.dumps(v) for v in values.tolist()]
