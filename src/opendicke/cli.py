@@ -114,12 +114,16 @@ def _workers(args: argparse.Namespace) -> int:
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write each text chunk to a temp file beside path, then rename it to path."""
+    """Write each text chunk to a temp file beside path, then rename it to
+    path, with the mode open() gives a new file (mkstemp's is 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opendicke-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
+        umask = os.umask(0)  # the umask is read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -142,26 +142,28 @@ def _grid_text(fmt: str, axis: str, sv, pf, include_phase: bool, blocks):
 
 
 def _format_block(fmt: str, include_phase: bool, sweep, probe, values, labels) -> str:
-    # Every cell's text is one row of a NUL-padded uint8 character matrix;
-    # dropping every NUL leaves the text. S11_TILE cells at a time bound it.
+    """A block's cells as fmt text: JSON's |S11| floats or CSV's lines, each
+    tile of S11_TILE cells a NUL-padded uint8 matrix (a row per cell) whose
+    NULs drop. A CSV line's row is the sweep value's and probe's slots (made
+    once per block), the re, im and |S11| slots, the last cut at its comma
+    (byte 20), then the row's tail."""
     cells = values.reshape(-1)
-    starts = range(0, cells.size, S11_TILE)
-    if fmt == "json":
-        # The C encoder's float text, each after a comma: the block drops the first.
-        return "".join(_ascii(_repr_slots(np.abs(cells[k : k + S11_TILE]))) for k in starts)[1:]
-    # A CSV line's row holds the sweep value's and probe's slots (formatted
-    # once per block), the re, im and |S11| slots, then the row's tail.
-    heads, omegas = _e11_slots(sweep).T, _e11_slots(probe).T
-    tails = _text_matrix([f",{label}\n" if include_phase else "\n" for label in labels])
+    if fmt == "csv":
+        heads, omegas = _e11_slots(sweep), _e11_slots(probe)
+        tails = _text_matrix([f",{label}\n" if include_phase else "\n" for label in labels])
     text = []
-    for k in starts:
+    for k in range(0, cells.size, S11_TILE):
         tile = cells[k : k + S11_TILE]
-        row, col = np.divmod(np.arange(k, k + tile.size), probe.size)
-        re, im, mag = (_e11_slots(part).T for part in (tile.real, tile.imag, np.abs(tile)))
-        # |S11| drops its comma: the tail follows.
-        parts = (heads.take(row, axis=0), omegas.take(col, axis=0), re, im, mag[:, :-1])
-        text.append(_ascii(np.concatenate((*parts, tails.take(row, axis=0)), axis=1)))
-    return "".join(text)
+        if fmt == "json":
+            chars = _repr_slots(np.abs(tile))
+        else:
+            row, col = np.divmod(np.arange(k, k + tile.size), probe.size)
+            re, im, mag = (_e11_slots(part) for part in (tile.real, tile.imag, np.abs(tile)))
+            parts = (heads.take(row, axis=0), omegas.take(col, axis=0), re, im, mag[:, :20])
+            chars = np.concatenate((*parts, tails.take(row, axis=0)), axis=1)
+        text.append(_ascii(chars))
+    text = "".join(text)
+    return text[1:] if fmt == "json" else text  # each JSON cell follows a comma
 
 
 def _ascii(chars: np.ndarray) -> str:
@@ -175,15 +177,30 @@ def _text_matrix(strings) -> np.ndarray:
     return chars.view(np.uint8).reshape(len(strings), chars.itemsize)
 
 
-# 10**k for k in 0..22, each exactly a double, and the text of every
-# exponent the vectorized path writes, one column each.
+# 10**k for k in 0..22, each exactly a double.
 _POW10 = np.array([float(10**k) for k in range(23)])
-_EXPONENTS = _text_matrix(["e%+03d" % k for k in range(-11, 13)]).T.copy()
+# Text as words, indexed by value: every 4-digit group, and the last group
+# without its trailing zeros.
+_PAIRS = _text_matrix(["%02d" % k for k in range(100)]).view(np.uint16)
+_PAIRS_STRIPPED = _text_matrix([("%02d" % k).rstrip("0") for k in range(100)]).view(np.uint16)
+_GROUPS, _LAST_GROUPS = np.empty((2, 100, 100, 2), dtype=np.uint16)
+_GROUPS[..., 0], _GROUPS[..., 1] = _PAIRS, _PAIRS.T
+_LAST_GROUPS[..., 0], _LAST_GROUPS[..., 1] = _PAIRS, _PAIRS_STRIPPED.T
+_LAST_GROUPS[:, 0, 0] = _PAIRS_STRIPPED[:, 0]
+_GROUPS, _LAST_GROUPS = (table.view(np.uint32).ravel() for table in (_GROUPS, _LAST_GROUPS))
+# '%.11e' text as NUL-padded words: at 10**4 * sign + k, 'd.ddd' from the
+# group k after a NUL (or '-' for a set sign bit); at E + 11, 'e%+03d,' for
+# E = -11..12 (a carry takes E = 11 to 12).
+_E11_LEADS = np.zeros((2, 10**4, 8), dtype=np.uint8)
+_E11_LEADS[1, :, 0], _E11_LEADS[..., 2] = ord("-"), ord(".")
+_E11_LEADS[..., [1, 3, 4, 5]] = _GROUPS.view(np.uint8).reshape(-1, 4)
+_E11_LEADS = _E11_LEADS.view(np.uint64).ravel()
+_E11_EXPONENTS = _text_matrix([f"e{k:+03d},\0\0\0" for k in range(-11, 13)]).view(np.uint64).ravel()
 
 
 @np.errstate(all="ignore")  # non-finite and out-of-window values take the fallback
 def _e11_slots(x: np.ndarray) -> np.ndarray:
-    """'%.11e,' % v of each float v of a 1-D x as a column of 20 NUL-padded bytes.
+    """'%.11e,' % v of each float v of a 1-D x as a row of 24 NUL-padded bytes.
 
     With E = floor(log10|v|) held to [-11, 11], y = |v| * 10**(11 - E) takes
     one rounding, since the power is an exact double. Where y lies in
@@ -191,11 +208,12 @@ def _e11_slots(x: np.ndarray) -> np.ndarray:
     '%.11e' prints: rounding is monotone and every half-integer below 2**40
     is a double, so y and the exact product round to the same integer
     unless y is a half-integer itself. (Where log10 puts E one off, y
-    leaves the range or is 1e11, which prints the same.) n's twelve digits
-    come from integer divisions of its two 6-digit halves. Zero is formatted
-    here too. Every other value takes Python's '%.11e', the reference for
-    every cell: y a half-integer (exact ties among them), y out of range
-    (every exponent outside [-11, 11]), NaN and inf."""
+    leaves the range or is 1e11, which prints the same.) The row's words
+    are the lead of v's sign and n's first 4 digits, the groups of its last
+    8, and E's text, its comma at byte 20. Zero is formatted here too. Every
+    other value takes Python's '%.11e', the reference for every cell: y a
+    half-integer (exact ties among them), y out of range (every exponent
+    outside [-11, 11]), NaN and inf."""
     a = np.abs(x)
     usable = np.isfinite(a) & (a != 0.0)
     e = np.clip(np.floor(np.log10(np.where(usable, a, 1.0))), -11, 11)
@@ -205,31 +223,20 @@ def _e11_slots(x: np.ndarray) -> np.ndarray:
     usable &= (y >= 1e11) & (y < 1e12) & (frac != 0.5)
     n = whole + (frac > 0.5)
     carry = n == 1e12  # 9.9999999999996 prints as 1.00000000000e+01
-    n -= 9e11 * carry
+    n = np.where(usable, n - 9e11 * carry, 0.0).astype(np.int64)
     e = np.where(usable, e + carry, 0.0)
-    out = np.empty((20, x.size), dtype=np.uint8)
-    # Rows 2-7 and 8-13 take the prefixes of n's 6-digit halves, then (mod
-    # 256, so exactly) the differences that leave one digit each.
-    hi = np.floor(n / 1e6)
-    for half, first in ((hi, 2), (n - 1e6 * hi, 8)):
-        half = half.astype(np.uint32)
-        for k in range(6):
-            out[first + k] = half // 10 ** (5 - k)
-    out[3:8] -= 10 * out[2:7]
-    out[9:14] -= 10 * out[8:13]
-    out[1] = out[2]
-    out[1:14] += ord("0")
-    out[0] = np.signbit(x) * ord("-")
-    out[2] = ord(".")
-    out[14:18] = _EXPONENTS[:, (e + 11.0).astype(np.intp)]
-    out[18] = 0
-    out[19] = ord(",")
+    out = np.empty((x.size, 3), dtype=np.uint64)
+    out[:, 0] = _E11_LEADS[np.signbit(x) * 10**4 + n // 10**8]
+    words = out.view(np.uint32)
+    words[:, 2], words[:, 3] = _GROUPS[n // 10**4 % 10**4], _GROUPS[n % 10**4]
+    out[:, 2] = _E11_EXPONENTS[(e + 11.0).astype(np.intp)]
+    chars = out.view(np.uint8)
     fallback = np.flatnonzero(~usable & (a != 0.0))
     if fallback.size:
         text = _text_matrix(["%.11e" % v for v in x[fallback].tolist()])
-        out[:19, fallback] = 0
-        out[: text.shape[1], fallback] = text.T
-    return out
+        chars[fallback, :20] = 0  # the comma at byte 20 stays
+        chars[fallback, : text.shape[1]] = text
+    return chars
 
 
 def _veltkamp(x):
@@ -245,16 +252,8 @@ _SCALE = _POW10[16:21]
 _SCALE_HI, _SCALE_LO = _veltkamp(_SCALE)
 _HALF_ULP = _SCALE * 2.0**-53
 _EXPONENT_BITS = np.int64(0x7FF << 52)
-# Text as words, indexed by value: every 4-digit group; the last group
-# without its trailing zeros; and, at 10 * j + d, a comma and the text up to
-# a first digit d (with its '.' where E = 0).
-_PAIRS = _text_matrix(["%02d" % k for k in range(100)]).view(np.uint16)
-_PAIRS_STRIPPED = _text_matrix([("%02d" % k).rstrip("0") for k in range(100)]).view(np.uint16)
-_GROUPS, _LAST_GROUPS = np.empty((2, 100, 100, 2), dtype=np.uint16)
-_GROUPS[..., 0], _GROUPS[..., 1] = _PAIRS, _PAIRS.T
-_LAST_GROUPS[..., 0], _LAST_GROUPS[..., 1] = _PAIRS, _PAIRS_STRIPPED.T
-_LAST_GROUPS[:, 0, 0] = _PAIRS_STRIPPED[:, 0]
-_GROUPS, _LAST_GROUPS = (table.view(np.uint32).ravel() for table in (_GROUPS, _LAST_GROUPS))
+# At 10 * j + d, a comma and the text up to a first digit d (with its '.'
+# where E = 0), as NUL-padded words.
 _LEADS = _text_matrix(
     [
         (f",{d}." if j == 0 else f",0.{'0' * (j - 1)}{d}").ljust(8, "\0")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -204,6 +205,17 @@ class TestOtherCommands:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_output_takes_the_mode_open_gives(self, umask, tmp_path):
+        out, plain = tmp_path / "c.csv", tmp_path / "plain.csv"
+        previous = os.umask(umask)
+        try:
+            assert run(["critical", "-o", str(out)]) == 0
+            plain.write_text("")
+        finally:
+            os.umask(previous)
+        assert oct(out.stat().st_mode & 0o777) == oct(plain.stat().st_mode & 0o777)
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["critical", "--bogus", "1"])

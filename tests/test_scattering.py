@@ -511,10 +511,26 @@ class TestBlockFormatters:
         assert len(text) > 2.9e6
         assert peak < 8e6
 
+    def test_csv_block_peaks_near_twice_its_text(self):
+        # One 8 x 20,000 block is 14.6 MB of text. Its tiles' strings and
+        # their join peak at twice that; a tile's line matrix adds 0.5 MB.
+        values = np.random.default_rng(3).normal(size=(8, 20_000)) * (1 + 1j)
+        sweep, probe = np.linspace(0.2, 2.0, 8), np.linspace(0.1, 1.7, 20_000)
+        labels = ("normal",) * 8
+        _format_block("csv", False, sweep, probe[:10], values[:, :10], labels)  # first-call setup
+        tracemalloc.start()
+        try:
+            text = _format_block("csv", False, sweep, probe, values, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 14e6
+        assert peak < 2.2 * len(text)
+
 
 def _e11_texts(values) -> list[str]:
     """The vectorized formatter's text of each value, its comma removed."""
-    slots = _e11_slots(np.asarray(values, dtype=float)).T
+    slots = _e11_slots(np.asarray(values, dtype=float))
     return [bytes(slot[slot != 0]).decode("ascii")[:-1] for slot in slots]
 
 
@@ -550,6 +566,15 @@ class TestE11Formatter:
     )
     def test_every_float64_matches_percent_format(self, values):
         assert _e11_texts(values) == ["%.11e" % v for v in values]
+
+    def test_every_lead_word(self):
+        # Every first four digits d.ddd, and zero, with both signs at three
+        # exponents in the window.
+        mantissas = np.append(np.arange(1000, 10_000) / 1000, [0.0, -0.0])
+        values = np.concatenate(
+            [sign * mantissas * 10.0**k for sign in (1, -1) for k in (-11, 0, 11)]
+        )
+        assert _e11_texts(values) == ["%.11e" % v for v in values.tolist()]
 
     def test_seeded_window_sweep_and_near_ties(self):
         rng = np.random.default_rng(2024)
