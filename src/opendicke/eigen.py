@@ -16,6 +16,7 @@ imaginary axis and splits into two distinct purely damped solutions.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -185,6 +186,11 @@ def _newton(f, x0, const_term: float, subohmic: bool, axis: bool):
     Iterates inside PIN_RADIUS while zeta(0) vanishes are pinned to exactly
     0, which also sidesteps the subohmic singularity there.
 
+    A residual that is not finite never counts as progress: a starting one
+    raises at once, and a trial one is backtracked like a larger residual.
+    A step that is NaN, or whose trials stay non-finite down to the last
+    halving, stalls instead of iterating on NaN.
+
     f is pure, so each iterate's residual is evaluated once: the residual of
     the accepted step is carried into the next iteration, and a run of k
     iterations costs 1 + 3k evaluations plus one per step halving.
@@ -193,45 +199,52 @@ def _newton(f, x0, const_term: float, subohmic: bool, axis: bool):
     def at(x):
         return -1j * x if axis else x
 
-    def fold(x):
-        return _mirror(x) if not axis and x.real < 0.0 else x
-
-    x = fold(float(x0) if axis else complex(x0))
+    x = float(x0) if axis else complex(x0)
+    if not axis and x.real < 0.0:
+        x = -x.conjugate()
     fx = None
     for _ in range(NEWTON_MAXIT):
-        if abs(x) < PIN_RADIUS:
+        ax = abs(x)
+        if ax < PIN_RADIUS:
             if abs(const_term) < PIN_CONST:
                 return 0.0 if axis else 0.0 + 0.0j
-            if subohmic and abs(x) < 1e-13:
+            if subohmic and ax < 1e-13:
                 raise ConvergenceError(
                     "iterate collapsed onto the singular origin", at(x), abs(const_term)
                 )
         if fx is None:
             fx = f(x)
-        h = 1e-7 * max(1.0, abs(x))
+            afx = abs(fx)
+            if not math.isfinite(afx):
+                raise ConvergenceError("residual is not finite", at(x), afx)
+        h = 1e-7 * (ax if ax > 1.0 else 1.0)
         step = h if axis or abs(x.real) >= 10.0 * h else 1j * h
         df = (f(x + step) - f(x - step)) / (2.0 * step)
         if df == 0:
-            raise ConvergenceError("vanishing derivative", at(x), abs(fx))
+            raise ConvergenceError("vanishing derivative", at(x), afx)
         dx = -fx / df
         scale = 1.0
-        xn = fold(x + dx)
-        fn = f(xn)
-        while abs(fn) > abs(fx) and scale > 1.0 / 256.0:
-            scale *= 0.5
-            xn = fold(x + scale * dx)
+        xn = x + dx
+        while True:
+            if not axis and xn.real < 0.0:
+                xn = -xn.conjugate()
             fn = f(xn)
-        if abs(fn) > abs(fx) and abs(scale * dx) > NEWTON_TOL:
-            raise ConvergenceError("backtracking stalled", at(x), abs(fx))
+            afn = abs(fn)
+            if afn <= afx or scale <= 1.0 / 256.0:
+                break
+            scale *= 0.5
+            xn = x + scale * dx
+        if not afn <= afx and not abs(scale * dx) <= NEWTON_TOL:
+            raise ConvergenceError("backtracking stalled", at(x), afx)
         moved = abs(xn - x)
-        x, fx = xn, fn
+        x, fx, afx = xn, fn, afn
         if moved < NEWTON_TOL:
             if not axis:
                 return x
             if x < -1e-10:
-                raise ConvergenceError("axis root crossed into the upper half plane", at(x), abs(fn))
+                raise ConvergenceError("axis root crossed into the upper half plane", at(x), afn)
             return max(x, 0.0)
-    raise ConvergenceError("no convergence within iteration budget", at(x), abs(fx))
+    raise ConvergenceError("no convergence within iteration budget", at(x), afx)
 
 
 def _classify_pairs(roots) -> list[tuple]:
@@ -264,8 +277,7 @@ def _advance_pairs(system: BogoliubovSystem, state, const: float, subohmic: bool
     pairs migrate between the off-axis and on-axis regimes as the gap
     boundaries shift with the exponent."""
 
-    def f(w):
-        return zeta_from_system(system, w, INPUT)
+    f = functools.partial(zeta_from_system, system)
 
     def f_axis(y):
         return zeta_from_system(system, complex(0.0, -y), INPUT).real

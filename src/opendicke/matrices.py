@@ -23,12 +23,16 @@ Numerically zeta is one Laplace expansion over the two port blocks of M,
 reading A from the four real entries a BogoliubovSystem holds. _photon_half
 holds the photon-port quantities, which depend only on omega_a, omega and
 gamma_a; _matter_minors and _port_zeta hold the rest. zeta_from_system
-composes them for one system, and s11_rows, S11 itself, shares the photon
-quantities across a block of systems, S11_TILE probe points at a time.
+composes them for an array of frequencies; at one scalar frequency, the
+Newton solver's hot call, it runs the same operations as one straight line
+of Python arithmetic, pinned bit for bit to the helpers by
+tests/test_matrices.py. s11_rows, S11 itself, shares the photon quantities
+across a block of systems, S11_TILE probe points at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -217,15 +221,72 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
     (omega gamma(omega) -> 0), so the scalar call evaluates that limit
     directly; this keeps the constant term meaningful for subohmic baths
     whose gamma diverges at the origin.
+
+    An ndarray composes gamma_of, _matter_minors, _photon_half and
+    _port_zeta. A scalar, the Newton solver's hot call, runs the same
+    operations in one straight line of Python arithmetic: the port rates of
+    gamma_of's scalar path (port a first), then the expansion, operation for
+    operation and in order, so every value is bit-identical to the
+    composition (tests/test_matrices.py pins it in float.hex).
     """
-    if not isinstance(omega, np.ndarray) and omega == 0:
-        ga = gb = 0.0
-    else:
+    if isinstance(omega, np.ndarray):
         ga = signature.sign_a * gamma_of(system.bath_a, omega)
         gb = signature.sign_b * gamma_of(system.bath_b, omega)
+        a00, a02, a22, a23 = system.a_entries
+        matter = _matter_minors(a02, a22, a23, omega, gb)
+        return _port_zeta(a02, _photon_half(a00, omega, ga), matter)
+    if omega == 0:
+        ga = gb = 0.0
+    else:
+        bath_a, bath_b = system.bath_a, system.bath_b
+        ga, sa, gb, sb = bath_a.gamma0, bath_a.exponent_s, bath_b.gamma0, bath_b.exponent_s
+        try:
+            if isinstance(omega, complex) and omega.imag != 0.0:
+                if omega.real == 0.0:
+                    y = abs(omega.imag)
+                    if sa != 0.0:
+                        ga = ga * y**sa * math.cos(0.5 * math.pi * sa)
+                    if sb != 0.0:
+                        gb = gb * y**sb * math.cos(0.5 * math.pi * sb)
+                else:
+                    w2 = omega * omega
+                    if sa != 0.0:
+                        ga = ga * w2 ** (0.5 * sa)
+                    if sb != 0.0:
+                        gb = gb * w2 ** (0.5 * sb)
+            else:
+                r = abs(omega)
+                if sa != 0.0:
+                    ga = ga * r**sa
+                if sb != 0.0:
+                    gb = gb * r**sb
+        except OverflowError:
+            # gamma_of repeats the overflowing rate and raises its ValueError.
+            gamma_of(bath_a, omega)
+            gamma_of(bath_b, omega)
+            raise
+        # The int sign stays a multiply: 1 * complex can flip a signed zero.
+        ga = signature.sign_a * ga
+        gb = signature.sign_b * gb
     a00, a02, a22, a23 = system.a_entries
-    matter = _matter_minors(a02, a22, a23, omega, gb)
-    return _port_zeta(a02, _photon_half(a00, omega, ga), matter)
+    hb = -0.5j * gb
+    na02 = -a02
+    m22 = a22 + hb - omega
+    m23 = a23 - hb
+    m32 = -a23 - hb
+    m33 = -a22 + hb - omega
+    d23 = m22 * m33 - m23 * m32
+    d02 = a02 * m32 - m22 * na02
+    d03 = a02 * m33 - m23 * na02
+    ha = -0.5j * ga
+    nha = -ha
+    m00 = a00 + ha - omega
+    m11 = -a00 + ha - omega
+    c01 = m00 * m11 - nha * nha
+    c02 = m00 * na02 - a02 * nha
+    c12 = nha * na02 - a02 * m11
+    c23 = a02 * na02 - a02 * na02
+    return c01 * d23 - c02 * d03 + c02 * d02 + c12 * d03 - c12 * d02 + c23 * c23
 
 
 @np.errstate(all="ignore")  # an overflow raises the ValueError of _s11_tile instead

@@ -481,6 +481,18 @@ class TestFailureModes:
         assert "sweep failed at g = 0.1: stuck" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_overflowing_zeta_exits_3_at_its_first_residual(self, tmp_path, capsys):
+        # zeta is quartic, so it is infinite at this scale: the first Newton
+        # residual already fails, with no NaN iterations spent.
+        argv = ["eigen", "--omega-a", "1e100", "--omega-b", "1e100", "--gamma-a", "1e100",
+                "--gamma-b", "1e100", "--s-a", "2", "--s-b", "2", "--sweep", "g:0:1e100:5"]
+        assert run(argv + ["-o", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "error: sweep failed at g = 0.0: residual is not finite"
+            " (last iterate (8.660254037844386e+99-5e+99j), residual inf)\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bath_exponent_above_two_exits_2(self, capsys):
         assert run(["eigen", "--s-a", "2.2", "--sweep", "g:0:0.5:5"]) == 2
         assert "upper half plane" in capsys.readouterr().err

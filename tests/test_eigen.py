@@ -429,6 +429,45 @@ class TestNewtonExits:
         with pytest.raises(ConvergenceError, match="no convergence within iteration budget"):
             _newton(lambda y: math.exp(-y), 1.0, axis=True)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.inf, 0.0)])
+    def test_nonfinite_starting_residual_raises_at_once(self, value):
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            return value
+
+        with pytest.raises(ConvergenceError, match="residual is not finite") as exc:
+            _newton(f, 1.0 - 1.0j)
+        assert calls == [1.0 - 1.0j]
+        assert exc.value.last_iterate == 1.0 - 1.0j
+        assert math.isnan(exc.value.residual) or exc.value.residual == math.inf
+
+    def test_nan_trial_is_backtracked_like_a_larger_residual(self):
+        # exp(y) - 2 from y = -3: the full step (to about 36) lands where f
+        # is NaN, and halving brings it back to the root ln 2.
+        def f(y):
+            return math.exp(y) - 2.0 if y < 5.0 else math.nan
+
+        assert abs(_newton(f, -3.0, axis=True) - math.log(2.0)) < 1e-12
+
+    @pytest.mark.parametrize("y0", [0.999, 1.0], ids=["nan-trials", "nan-derivative"])
+    def test_step_nan_to_the_last_halving_stalls(self, y0):
+        # f is NaN beyond y = 1: from 0.999 every trial of the step (+1)
+        # down to 1/256 of it lands there; from 1.0 the derivative itself is
+        # NaN. Both stall after the halvings instead of iterating on NaN.
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            return math.exp(-y) if y <= 1.0 else math.nan
+
+        with pytest.raises(ConvergenceError, match="backtracking stalled") as exc:
+            _newton(f, y0, axis=True)
+        assert len(seen) == 1 + 2 + 9  # start, difference pair, full step and 8 halvings
+        assert exc.value.last_iterate == -1j * y0
+        assert exc.value.residual == math.exp(-y0)
+
     def test_axis_root_in_the_upper_half_plane_raises(self):
         with pytest.raises(ConvergenceError, match="crossed into the upper half plane") as exc:
             _newton(lambda y: y + 1.0, 1.0, axis=True)
@@ -488,6 +527,22 @@ class TestNewtonEvaluations:
         iterates = calls[0::3]
         for j, x in enumerate(iterates[:-1]):
             assert calls[3 * j + 1] - x == pytest.approx(x - calls[3 * j + 2], rel=1e-6)
+
+
+def test_every_zeta_call_of_a_solve_goes_through_the_module_name(monkeypatch):
+    # Wrappers at eigen.zeta_from_system (the benchmark's tracer is one) see
+    # every evaluation: the README non-ohmic point at g = 0.3 takes 200.
+    p = make(g=0.3, ga=0.3, gb=0.2, sa=-0.5, sb=0.5)
+    plain = open_eigenfrequencies(p)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return zeta_from_system(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "zeta_from_system", counted)
+    assert open_eigenfrequencies(p) == plain
+    assert len(calls) == 200
 
 
 class TestGapEdgeContinuation:

@@ -3,9 +3,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opendicke.model import BathSpec, ModelParams, Phase, PhaseData, derive_phase, resolve_point
-from opendicke.model import _superradiant_fields
+from opendicke.model import _superradiant_fields, gamma_of
 from opendicke.scattering import s11, sweep_spectrum
 from opendicke.matrices import (
     FLIP_A,
@@ -14,6 +16,9 @@ from opendicke.matrices import (
     S11_TILE,
     BogoliubovSystem,
     ZetaSignature,
+    _matter_minors,
+    _photon_half,
+    _port_zeta,
     build_a_matrix,
     build_gamma,
     build_system,
@@ -346,6 +351,88 @@ def test_zeta_matches_numpy_determinant(g, sa, sb, sig):
         tol = 1e-12 * max(1.0, abs(det))
         assert abs(zeta_from_system(system, w, sig) - det) < tol
         assert abs(v - det) < tol
+
+
+def _composed_zeta(system, w, sig):
+    """Scalar zeta as the composition of gamma_of and the expansion helpers,
+    which the scalar path of zeta_from_system inlines."""
+    if w == 0:
+        ga = gb = 0.0
+    else:
+        ga = sig.sign_a * gamma_of(system.bath_a, w)
+        gb = sig.sign_b * gamma_of(system.bath_b, w)
+    a00, a02, a22, a23 = system.a_entries
+    matter = _matter_minors(a02, a22, a23, w, gb)
+    return _port_zeta(a02, _photon_half(a00, w, ga), matter)
+
+
+def _outcome(fn, *args):
+    """The bits of fn's value (type and float.hex of both parts), or the
+    type and text of what it raises."""
+    try:
+        z = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return type(z), z.real.hex(), z.imag.hex()
+
+
+class TestScalarZetaBits:
+    """The straight-line scalar zeta carries the bits of the composition."""
+
+    EXPONENTS = (0.0, -0.9, -0.5, 0.5, 1.3, 2.0)
+    SIGNATURES = (INPUT, FLIP_A, OUTPUT)
+
+    @staticmethod
+    def probes(rng):
+        fourth = [complex(rng.uniform(0.01, 2.5), -rng.uniform(0.01, 1.5)) for _ in range(4)]
+        upper = [complex(rng.uniform(-2.5, 2.5), rng.uniform(0.01, 1.5)) for _ in range(4)]
+        y, x = rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)
+        axis = [complex(0.0, -y), complex(-0.0, -y), complex(0.0, y)]
+        real = [x, -x, complex(x, 0.0), complex(x, -0.0), complex(-x, -0.0)]
+        zeros = [0.0, -0.0, 0j, complex(-0.0, -0.0), complex(0.0, -0.0)]
+        return fourth + upper + axis + real + zeros
+
+    @pytest.mark.parametrize("g", [0.3, 0.8], ids=["normal", "superradiant"])
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=["INPUT", "FLIP_A", "OUTPUT"])
+    def test_sweep(self, g, sig):
+        rng = np.random.default_rng(29)
+        for sa in self.EXPONENTS:
+            for sb in self.EXPONENTS:
+                p = make(omega_a=1.1, omega_b=0.9, g=g, ga=0.3, gb=0.2, sa=sa, sb=sb)
+                system = build_system(derive_phase(p), p)
+                for w in self.probes(rng):
+                    got = _outcome(zeta_from_system, system, w, sig)
+                    assert got[0] is complex
+                    assert got == _outcome(_composed_zeta, system, w, sig), (sa, sb, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.floats(0.0, 1.2),
+        ga=st.floats(0.0, 2.0),
+        gb=st.floats(0.0, 2.0),
+        sa=st.one_of(st.sampled_from(EXPONENTS), st.floats(-0.99, 2.0)),
+        sb=st.one_of(st.sampled_from(EXPONENTS), st.floats(-0.99, 2.0)),
+        re=st.floats(-1e3, 1e3),
+        im=st.floats(-1e3, 1e3),
+        form=st.sampled_from(["complex", "float"]),
+        sig=st.sampled_from(SIGNATURES),
+    )
+    def test_property(self, g, ga, gb, sa, sb, re, im, form, sig):
+        p = make(g=g, ga=ga, gb=gb, sa=sa, sb=sb)
+        system = build_system(derive_phase(p), p)
+        w = complex(re, im) if form == "complex" else re
+        assert _outcome(zeta_from_system, system, w, sig) == _outcome(_composed_zeta, system, w, sig)
+
+    @pytest.mark.parametrize("sa, sb, s", [(2.0, 0.5, 2.0), (0.5, 2.0, 2.0), (1.9, 2.0, 1.9)],
+                             ids=["port-a", "port-b", "port-a-first"])
+    @pytest.mark.parametrize("w", [1e200, complex(1e200, 0.0), complex(0.0, -1e200)],
+                             ids=["real", "complex-real", "imaginary-axis"])
+    def test_overflowing_rate_raises_the_gamma_of_error(self, sa, sb, s, w):
+        p = make(g=0.3, ga=0.3, gb=0.2, sa=sa, sb=sb)
+        system = build_system(derive_phase(p), p)
+        text = f"gamma(omega) overflows at omega = {w} for exponent s = {s}"
+        assert _outcome(zeta_from_system, system, w, INPUT) == (ValueError, text)
+        assert _outcome(_composed_zeta, system, w, INPUT) == (ValueError, text)
 
 
 def _same_bits(x, y) -> bool:
