@@ -452,13 +452,15 @@ def sweep_eigenfrequencies(
     if eigensets is not None and len(eigensets) != values.size:
         raise ValueError(f"{len(eigensets)} eigensets for a sweep grid of {values.size} values")
 
+    # Every value is resolved before any is solved, so a value that leaves
+    # the model's domain is reported as such wherever it sits in the grid.
+    points = [resolve_point(params, axis, v) for v in values.tolist()]
     n = values.size
     cols = {lab: np.empty(n, dtype=complex) for lab in _LABELS}
     gap = np.zeros(n, dtype=bool)
     phases: list[Phase] = []
     prev: dict[str, complex] | None = None
-    for i, v in enumerate(values):
-        p = resolve_point(params, axis, float(v))
+    for i, (v, p) in enumerate(zip(values, points)):
         if eigensets is not None:
             es = eigensets[i]
         else:

@@ -86,7 +86,9 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
 
 
 # Sweep values per pool task: small enough to balance two workers on a
-# 400-row grid, large enough that a task's text dwarfs its pickling.
+# 400-row grid and to bound the text a worker holds at once. Each task's
+# text is pickled back to the parent, 72 MB in all for the README CSV,
+# which costs about what the second worker saves.
 FORMAT_ROWS = 8
 
 

@@ -8,6 +8,9 @@ writes tests/golden/digests.json next to this file. It holds
   ``cli.main(argv)`` in an empty directory: the exit code, stdout with the
   run time of the summary line masked, stderr, and the sha256 of each file
   written;
+- the same record for each command line of ``GRIDS`` at ``--parallel 1``
+  and ``--parallel 2``: spectrum grids at the edges of the text formats and
+  non-ohmic eigen sweeps through the gap;
 - for 1,705 seeded parameter points in five families (both phases, the
   approach to g_c from both sides, +-5% around each gap edge, and named
   points), one sha256 per family and per output: ``repr`` of
@@ -71,6 +74,62 @@ README_EXAMPLES = {
     # The phase column, on rows that span both phases.
     "spectrum-phase": "spectrum --g 0.25 --sweep ratio:0.2:2:40 --probe 0.01:1.8:200 "
     "--include-phase-labels -o spectrum-phase.csv",
+}
+
+# Grids pinned at --parallel 1 and 2, under "<name>-p1" and "<name>-p2".
+_SPECTRUM_GRIDS = {
+    # Cells outside the formatter's exponent windows, and zero sweep values.
+    "tiny": "--omega-a 1e-60 --omega-b 1e-60 --g 1e-61 --gamma-a 1e-61 --gamma-b 1e-61 "
+    "--sweep g:0:1e-60:5 --probe 1e-61:3e-60:40",
+    "huge": "--omega-a 1e60 --omega-b 1e60 --g 1e59 --gamma-a 1e59 --gamma-b 1e59 "
+    "--sweep g:0:1e60:5 --probe 1e59:3e60:40",
+    # A g sweep across g_c with both phases in one 8-row block.
+    "phase": "--g 0.3 --s-a -0.3 --s-b 0.4 --sweep g:0.3:0.7:60 --probe 0.01:1.8:500",
+    # Perfect absorption: |re_s11| below 1e-4 on 329 CSV lines, and six
+    # |S11| cells below 1e-4, which JSON prints in exponent form.
+    "absorption": "--gamma-a 0.05 --gamma-b 0.075 --sweep g:0.5317612669643458:0.54:3 "
+    "--probe 0.3606:0.3611:501",
+    # A lossless matter port: all 4,500 |S11| cells print 1.00000000000e+00
+    # in CSV, and 2,911 are >= 1.
+    "lossless": "--gamma-b 0 --g 0.3 --sweep g:0.1:0.9:9 --probe 0.01:1.8:500",
+}
+# The eight eigen-nonohmic benchmark sweeps of seeds 1 and 407, as the
+# benchmark draws them.
+_BENCH_SWEEPS = [
+    "--gamma-a 0.2072079806359817 --gamma-b 0.17747968438365297 "
+    "--s-a -0.5348402585354177 --s-b 0.5131156670220924",
+    "--gamma-a 0.2974324723568622 --gamma-b 0.2513779556621534 "
+    "--s-a -0.4273251055259675 --s-b 0.5875182336315026",
+    "--gamma-a 0.3155915726005243 --gamma-b 0.23767565543374033 "
+    "--s-a -0.49329791513764176 --s-b 0.46402043789930203",
+    "--gamma-a 0.3711663224486288 --gamma-b 0.1269071656609639 "
+    "--s-a -0.5798443506776435 --s-b 0.4242595487215818",
+    "--gamma-a 0.29909236941801554 --gamma-b 0.1595676357120574 "
+    "--s-a -0.4703561038296026 --s-b 0.471306692859826",
+    "--gamma-a 0.22477490990987894 --gamma-b 0.12147077685192237 "
+    "--s-a -0.5963727763612318 --s-b 0.5008753328747224",
+    "--gamma-a 0.353562612798778 --gamma-b 0.28673655687829713 "
+    "--s-a -0.5304393773827555 --s-b 0.5830556077481228",
+    "--gamma-a 0.3144267151029765 --gamma-b 0.24736687972469312 "
+    "--s-a -0.43700615922830194 --s-b 0.4304184276092155",
+]
+# Two non-ohmic g sweeps with 39 and 11 gap rows.
+_GAP_SWEEPS = {
+    "gap39": "--gamma-a 1.0 --gamma-b 0.8 --s-a -0.8 --s-b -0.2 --sweep g:0.3:0.7:120",
+    "gap11": "--gamma-a 0.6 --gamma-b 0.5 --s-a -0.5 --s-b 0.5 --sweep g:0.3:0.7:81",
+}
+GRIDS = {
+    **{f"spectrum-{name}-{fmt}": f"spectrum {args} --format {fmt}"
+       + (" --include-phase-labels" if (name, fmt) == ("phase", "csv") else "")
+       for name, args in _SPECTRUM_GRIDS.items() for fmt in ("csv", "json")},
+    **{f"eigen-bench{k}": f"eigen --omega-a 1 --omega-b 1 {args} --sweep g:0:0.7:400 --format csv"
+       for k, args in enumerate(_BENCH_SWEEPS)},
+    **{f"eigen-{name}-{fmt}": f"eigen {args} --format {fmt}"
+       for name, args in _GAP_SWEEPS.items() for fmt in ("csv", "json")},
+}
+PINNED_GRIDS = {
+    f"{name}-p{workers}": f"{command} --parallel {workers}"
+    for name, command in GRIDS.items() for workers in (1, 2)
 }
 
 SUMMARY_TIME = re.compile(r"^(wrote .*) in \d+\.\d\d s$", re.MULTILINE)
@@ -258,6 +317,10 @@ def main() -> int:
             doc["examples"][name] = run_example(text.split(), Path(tmp))
     for name in FAMILIES:
         doc["points"][name] = family_digests(family_points(name, edges))
+    doc["grids"] = {}
+    for name, text in PINNED_GRIDS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            doc["grids"][name] = run_example(text.split(), Path(tmp))
     DIGESTS.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {DIGESTS}")
     return 0

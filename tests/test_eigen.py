@@ -372,6 +372,14 @@ class TestSweep:
         with pytest.raises(ConvergenceError, match="g = 0.25"):
             sweep_eigenfrequencies(make(sa=-0.5), "g", np.array([0.25, 0.5]))
 
+    def test_domain_error_precedes_any_solve(self):
+        # The solve at g = 0.4625 fails ("backtracking stalled"); g = 1e200
+        # leaves the domain, which is what the sweep reports, as the CLI does.
+        p = make(ga=0.6, sa=-0.5, gb=0.5, sb=0.5)
+        message = "sweep leaves the model's domain at g = 1e[+]200: every PhaseData field"
+        with pytest.raises(ValueError, match=message):
+            sweep_eigenfrequencies(p, "g", [0.4625, 1e200])
+
 
 def _newton(f, x0, const=1.0, subohmic=False, axis=False):
     return eigen_mod._newton(f, x0, const, subohmic, axis)
