@@ -294,7 +294,17 @@ def bath_condensate_density(params: ModelParams, port: str, omega: float) -> flo
         raise ValueError(f"port must be 'a' or 'b', got {port!r}")
     if cond == 0.0:
         return 0.0
-    return 2.0 * gamma_of(bath, omega) / math.pi * cond / (omega * w_port)
+    rate = gamma_of(bath, omega)
+    try:
+        sigma = 2.0 * rate / math.pi * cond / (omega * w_port)
+    except ZeroDivisionError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ValueError(
+            f"sigma_{port}/N is not finite at bath frequency omega = {omega},"
+            f" got omega_{port} = {w_port} and gamma_{port} = {rate}"
+        )
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -339,13 +349,26 @@ def alt_coupling_renorm(params: ModelParams, alt: AltCouplingParams) -> AltCoupl
     the instability is a physical outcome, not an input error.
     """
     wa, wb = params.omega_a, params.omega_b
-    abnormal_a = not alt.f_a0 < wa**2
-    abnormal_b = not alt.f_b0 < wb**2
-    wa_p = math.sqrt(wa**2 - alt.f_a0) if not abnormal_a else None
-    wb_p = math.sqrt(wb**2 - alt.f_b0) if not abnormal_b else None
+    wa2, wb2 = _square("omega_a", wa), _square("omega_b", wb)
+    abnormal_a = not alt.f_a0 < wa2
+    abnormal_b = not alt.f_b0 < wb2
+    wa_p = math.sqrt(wa2 - alt.f_a0) if not abnormal_a else None
+    wb_p = math.sqrt(wb2 - alt.f_b0) if not abnormal_b else None
     if abnormal_a or abnormal_b:
         return AltCouplingResult(wa_p, wb_p, None, None, abnormal_a, abnormal_b)
     g_prime = params.g * math.sqrt(wa * wb / (wa_p * wb_p))
     g_c = derive_phase(params).g_c
-    g_c_prime = g_c * ((1.0 - alt.f_a0 / wa**2) * (1.0 - alt.f_b0 / wb**2)) ** 0.25
+    g_c_prime = g_c * ((1.0 - alt.f_a0 / wa2) * (1.0 - alt.f_b0 / wb2)) ** 0.25
     return AltCouplingResult(wa_p, wb_p, g_prime, g_c_prime, abnormal_a, abnormal_b)
+
+
+def _square(name: str, value: float) -> float:
+    """value**2, or a ValueError naming the parameter where the square
+    overflows or underflows to 0."""
+    try:
+        square = value**2
+    except OverflowError:
+        square = math.inf
+    if not 0.0 < square < math.inf:
+        raise ValueError(f"{name}**2 is not a positive finite float, got {name} = {value}")
+    return square

@@ -63,25 +63,30 @@ def s_matrix(params: ModelParams, omega: float) -> np.ndarray:
     effective port quantities (the superradiant matter port carries the
     renormalized frequency and the saturated damping, which is the same as
     attaching the 2 / (lam + 1) condensate factor to the bare law). Both
-    port couplings must be positive, otherwise the weights are singular.
+    port rates at omega must be positive, otherwise the weights are
+    singular, and a matrix with an entry the floats cannot hold raises.
     """
     check_frequency(omega, "probe frequency", scalar=True)
-    if params.bath_a.gamma0 <= 0 or params.bath_b.gamma0 <= 0:
-        raise ValueError("the scattering matrix requires both port couplings positive")
     pd = derive_phase(params)
-    m_in = m_matrix(pd, params, omega, INPUT)
-    m_out = m_matrix(pd, params, omega, OUTPUT)
-    t_full = m_out @ np.linalg.inv(m_in)
     system = build_system(pd, params)
-    freqs = (params.omega_a, pd.omega_b_tilde)
     gammas = (gamma_of(system.bath_a, omega), gamma_of(system.bath_b, omega))
+    rates = f"at probe frequency {omega}, got gamma_a = {gammas[0]} and gamma_b = {gammas[1]}"
+    if not (gammas[0] > 0 and gammas[1] > 0):
+        raise ValueError(f"the scattering matrix requires both port couplings positive {rates}")
+    freqs = (params.omega_a, pd.omega_b_tilde)
     out = np.empty((2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            blk = t_full[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]
-            scalar = 0.5 * (blk[0, 0] - blk[0, 1] - blk[1, 0] + blk[1, 1])
-            weight = np.sqrt(freqs[j] / freqs[k] * gammas[k] / gammas[j])
-            out[j, k] = weight * scalar
+    with np.errstate(all="ignore"):
+        m_in = m_matrix(pd, params, omega, INPUT)
+        m_out = m_matrix(pd, params, omega, OUTPUT)
+        t_full = m_out @ np.linalg.inv(m_in)
+        for j in range(2):
+            for k in range(2):
+                blk = t_full[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]
+                scalar = 0.5 * (blk[0, 0] - blk[0, 1] - blk[1, 0] + blk[1, 1])
+                weight = np.sqrt(freqs[j] / freqs[k] * gammas[k] / gammas[j])
+                out[j, k] = weight * scalar
+    if not np.isfinite(out).all():
+        raise ValueError(f"the scattering matrix is not finite {rates}")
     return out
 
 

@@ -12,6 +12,7 @@ scattering matrix on the real axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,12 +55,22 @@ def dispersive_output_coefficient(params: ModelParams, omega: float) -> complex:
     over the same expression with +i gamma_a. Numerator and denominator are
     complex conjugates on the real axis, so the modulus is exactly one. The
     expression targets omega_b >> omega_a but is well defined generally.
+    Where the floats cannot hold the ratio, a ValueError names the probe.
     """
     check_frequency(omega, "probe frequency", scalar=True)
     wa, wb, g = params.omega_a, params.omega_b, params.g
     ga = gamma_of(params.bath_a, omega)
     shift = wa * (4.0 * g**2 - wa * wb)
-    return (omega * (omega - 1j * ga) * wb + shift) / (omega * (omega + 1j * ga) * wb + shift)
+    try:
+        c = (omega * (omega - 1j * ga) * wb + shift) / (omega * (omega + 1j * ga) * wb + shift)
+    except ZeroDivisionError:
+        c = complex(math.nan)
+    if not cmath.isfinite(c):
+        raise ValueError(
+            f"the dispersive output coefficient is not finite at probe frequency {omega},"
+            f" got gamma_a = {ga}"
+        )
+    return c
 
 
 def quadrature_variance(params: ModelParams, spec: QuadratureSpec) -> float:
@@ -73,7 +84,7 @@ def quadrature_variance(params: ModelParams, spec: QuadratureSpec) -> float:
     if spec.theta != 0.0:
         raise ValueError("single-mode variance requires theta = 0")
     c = dispersive_output_coefficient(params, spec.omega)
-    return abs(c) ** 2 / (2.0 * spec.omega)
+    return _finite_variance(abs(c) ** 2 / (2.0 * spec.omega), spec.omega)
 
 
 def two_mode_variance(params: ModelParams, spec: QuadratureSpec) -> float:
@@ -86,5 +97,16 @@ def two_mode_variance(params: ModelParams, spec: QuadratureSpec) -> float:
     result at theta = 0.
     """
     s = s_matrix(params, spec.omega)
-    mix = np.cos(spec.theta) * s[0, :] + np.exp(1j * spec.psi) * np.sin(spec.theta) * s[1, :]
-    return float(np.sum(np.abs(mix) ** 2) / (2.0 * spec.omega))
+    with np.errstate(all="ignore"):
+        mix = np.cos(spec.theta) * s[0, :] + np.exp(1j * spec.psi) * np.sin(spec.theta) * s[1, :]
+        variance = float(np.sum(np.abs(mix) ** 2) / (2.0 * spec.omega))
+    return _finite_variance(variance, spec.omega)
+
+
+def _finite_variance(variance: float, omega: float) -> float:
+    """variance, or a ValueError naming the probe where it is not finite:
+    1 / (2 omega) overflows, or a scattering matrix the floats resolve only
+    far from unitary has huge entries."""
+    if not math.isfinite(variance):
+        raise ValueError(f"the output variance is not finite at probe frequency {omega}")
+    return variance

@@ -9,8 +9,9 @@ writes tests/golden/digests.json next to this file. It holds
   run time of the summary line masked, stderr, and the sha256 of each file
   written;
 - the same record for each command line of ``GRIDS`` at ``--parallel 1``
-  and ``--parallel 2``: spectrum grids at the edges of the text formats and
-  non-ohmic eigen sweeps through the gap;
+  and ``--parallel 2``: spectrum grids at the edges of the text formats,
+  non-ohmic eigen sweeps through the gap, and the README's spectrum grid
+  and non-ohmic sweep;
 - for 1,705 seeded parameter points in five families (both phases, the
   approach to g_c from both sides, +-5% around each gap edge, and named
   points), one sha256 per family and per output: ``repr`` of
@@ -18,10 +19,14 @@ writes tests/golden/digests.json next to this file. It holds
   of ``zeta_constant_term``, and the bytes of an ``s11`` row;
 - the numpy version and platform tag the digests were made with.
 
-test_golden.py recomputes every digest and compares. The digests pin the
-last bit of every output, so a change that moves any of them needs its own
-justification: list each changed entry in CHANGES.md with the independent
-evidence (det M, mpmath) that the new value is right.
+test_golden.py runs every command line once and checks, on any numpy, that
+each grid's two worker counts give the same record and that each exit code,
+stderr and set of file names matches the stored one. Where numpy and the
+platform are the stored ones, it also compares every sha256 and stdout and
+recomputes the point digests. The digests pin the last bit of every output,
+so a change that moves any of them needs its own justification: list each
+changed entry in CHANGES.md with the independent evidence (det M, mpmath)
+that the new value is right.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ _SPECTRUM_GRIDS = {
     # A lossless matter port: all 4,500 |S11| cells print 1.00000000000e+00
     # in CSV, and 2,911 are >= 1.
     "lossless": "--gamma-b 0 --g 0.3 --sweep g:0.1:0.9:9 --probe 0.01:1.8:500",
+    # The README grid: 50 pool tasks of 8 rows.
+    "readme": "--g 0.25 --sweep ratio:0.2:2:400 --probe 0.01:1.8:2000 --linear-gamma-b",
 }
 # The eight eigen-nonohmic benchmark sweeps of seeds 1 and 407, as the
 # benchmark draws them.
@@ -113,10 +120,12 @@ _BENCH_SWEEPS = [
     "--gamma-a 0.3144267151029765 --gamma-b 0.24736687972469312 "
     "--s-a -0.43700615922830194 --s-b 0.4304184276092155",
 ]
-# Two non-ohmic g sweeps with 39 and 11 gap rows.
-_GAP_SWEEPS = {
+# Two non-ohmic g sweeps with 39 and 11 gap rows, and the README's
+# non-ohmic sweep: 25 pool tasks of exponent continuations.
+_EIGEN_SWEEPS = {
     "gap39": "--gamma-a 1.0 --gamma-b 0.8 --s-a -0.8 --s-b -0.2 --sweep g:0.3:0.7:120",
     "gap11": "--gamma-a 0.6 --gamma-b 0.5 --s-a -0.5 --s-b 0.5 --sweep g:0.3:0.7:81",
+    "readme-nonohmic": "--gamma-a 0.3 --gamma-b 0.2 --s-a -0.5 --s-b 0.5 --sweep g:0:0.7:400",
 }
 GRIDS = {
     **{f"spectrum-{name}-{fmt}": f"spectrum {args} --format {fmt}"
@@ -125,7 +134,7 @@ GRIDS = {
     **{f"eigen-bench{k}": f"eigen --omega-a 1 --omega-b 1 {args} --sweep g:0:0.7:400 --format csv"
        for k, args in enumerate(_BENCH_SWEEPS)},
     **{f"eigen-{name}-{fmt}": f"eigen {args} --format {fmt}"
-       for name, args in _GAP_SWEEPS.items() for fmt in ("csv", "json")},
+       for name, args in _EIGEN_SWEEPS.items() for fmt in ("csv", "json")},
 }
 PINNED_GRIDS = {
     f"{name}-p{workers}": f"{command} --parallel {workers}"

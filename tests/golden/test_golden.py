@@ -1,13 +1,20 @@
 """Byte identity of the package's outputs against tests/golden/digests.json.
 
+Every pinned command line runs once per pytest session, in process, through
+``record``. The checks that need no stored bytes run on every numpy: each
+pinned grid gives the same record at --parallel 1 and 2, and each command
+line's exit code, stderr and written file names match its stored record.
 The digests were made by make_digests.py on one numpy version and platform;
-elsewhere the last bits of libm may differ, so the tests that recompute an
-output skip and name both.
+elsewhere the last bits of libm may differ, so the tests that compare a
+sha256 or stdout with the stored one skip and name both.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +24,10 @@ from opendicke import open_eigenfrequencies
 from opendicke.eigen import ConvergenceError
 
 DOC = json.loads(golden.DIGESTS.read_text())
+COMMANDS = {
+    **{("examples", name): text for name, text in golden.README_EXAMPLES.items()},
+    **{("grids", name): text for name, text in golden.PINNED_GRIDS.items()},
+}
 
 same_environment = pytest.mark.skipif(
     DOC["environment"] != golden.environment(),
@@ -24,23 +35,36 @@ same_environment = pytest.mark.skipif(
 )
 
 
+@functools.cache
+def record(text: str) -> dict:
+    """The run_example record of one command line, made in an empty directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return golden.run_example(text.split(), Path(tmp))
+
+
+@pytest.mark.parametrize("section, name", list(COMMANDS))
+def test_exit_code_stderr_and_file_names_match_the_stored_record(section, name):
+    made, stored = record(COMMANDS[section, name]), DOC[section][name]
+    assert (made["rc"], made["stderr"], made["files"].keys()) == (
+        stored["rc"], stored["stderr"], stored["files"].keys()
+    )
+
+
 @same_environment
 @pytest.mark.parametrize("name", sorted(golden.README_EXAMPLES))
-def test_readme_example(name, tmp_path):
-    argv = golden.README_EXAMPLES[name].split()
-    assert golden.run_example(argv, tmp_path) == DOC["examples"][name]
+def test_readme_example(name):
+    assert record(golden.README_EXAMPLES[name]) == DOC["examples"][name]
 
 
 @same_environment
 @pytest.mark.parametrize("name", sorted(golden.PINNED_GRIDS))
-def test_pinned_grid(name, tmp_path):
-    argv = golden.PINNED_GRIDS[name].split()
-    assert golden.run_example(argv, tmp_path) == DOC["grids"][name]
+def test_pinned_grid(name):
+    assert record(golden.PINNED_GRIDS[name]) == DOC["grids"][name]
 
 
 @pytest.mark.parametrize("name", sorted(golden.GRIDS))
 def test_pinned_grid_is_the_same_at_any_worker_count(name):
-    assert DOC["grids"][f"{name}-p1"] == DOC["grids"][f"{name}-p2"]
+    assert record(golden.PINNED_GRIDS[f"{name}-p1"]) == record(golden.PINNED_GRIDS[f"{name}-p2"])
 
 
 @same_environment

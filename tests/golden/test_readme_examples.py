@@ -1,8 +1,8 @@
 """Every command line of README.md is one of make_digests.README_EXAMPLES,
 so no README edit leaves an example that the golden digests do not pin.
 
-make_digests.readme_commands reads the lines, and CI's README runner runs
-the same list.
+make_digests.readme_commands reads the lines; test_golden.py runs each
+pinned example.
 """
 
 import shlex

@@ -444,7 +444,8 @@ class TestFailureModes:
         (["altcoupling", "--f-a0", "-1"], "coupling weights f_j(0) must be nonnegative"),
         (
             ["squeeze", "--g", "0.4", "--gamma-b", "0", "--theta", "0.3", "--omega", "1"],
-            "the scattering matrix requires both port couplings positive",
+            "the scattering matrix requires both port couplings positive at probe frequency"
+            " 1.0, got gamma_a = 0.1 and gamma_b = 0.0",
         ),
     ], ids=[
         "condensates-omega", "squeeze-omega", "sweep-fields", "probe-fields", "altcoupling-f-a0",

@@ -1,5 +1,10 @@
+import contextlib
+import io
+import json
 import math
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +407,104 @@ class TestFrequencyInputContract:
     def test_the_cli_exits_2_where_a_scalar_rate_overflows(self, capsys):
         assert cli.main(["squeeze", "--omega", "1e200", "--s-a", "2"]) == 2
         assert "gamma(omega) overflows at omega = 1e+200" in capsys.readouterr().err
+
+    # Finite admissible points whose result the floats cannot hold: a rate or
+    # a product that underflows to a zero divisor, or an overflow to inf or NaN.
+    @pytest.mark.parametrize("argv, message", [
+        (
+            "squeeze --gamma-a 1e-150 --s-a 2 --omega 1e-150 --theta 0.5",
+            "the scattering matrix requires both port couplings positive at probe frequency"
+            " 1e-150, got gamma_a = 0.0 and gamma_b = 0.1",
+        ),
+        (
+            "squeeze --omega-a 1e148 --omega-b 1e41 --g 1e93 --gamma-a 1e-128 --gamma-b 1e29"
+            " --s-a -0.9 --s-b 0.5 --omega 1e-35 --theta 0.5 --format json",
+            "the output variance is not finite at probe frequency 1e-35",
+        ),
+        (
+            "squeeze --omega-b 1e140 --omega 1e100 --format json",
+            "the dispersive output coefficient is not finite at probe frequency 1e+100,"
+            " got gamma_a = 0.1",
+        ),
+        ("squeeze --omega 1e-310", "the output variance is not finite at probe frequency 1e-310"),
+        (
+            "condensates --omega-a 1e-150 --g 1e-20 --omega 1e-200",
+            "sigma_a/N is not finite at bath frequency omega = 1e-200,"
+            " got omega_a = 1e-150 and gamma_a = 0.1",
+        ),
+        (
+            "condensates --omega-a 1e-119 --omega-b 1e123 --g 1e13 --gamma-b 1e132 --s-b 2"
+            " --omega 1e110 --format json",
+            "sigma_b/N is not finite at bath frequency omega = 1e+110,"
+            " got omega_b = 1e+123 and gamma_b = inf",
+        ),
+        (
+            "altcoupling --omega-a 1e200 --omega-b 1e-20 --f-a0 1",
+            "omega_a**2 is not a positive finite float, got omega_a = 1e+200",
+        ),
+    ], ids=[
+        "s-matrix-rate-underflow", "two-port-variance-overflow", "dispersive-nan",
+        "single-port-variance-overflow", "density-divisor-underflow", "density-overflow",
+        "altcoupling-square-overflow",
+    ])
+    def test_an_unrepresentable_result_exits_2_naming_the_point(
+        self, argv, message, tmp_path, capsys
+    ):
+        out = tmp_path / "x.out"
+        assert cli.main(argv.split() + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_square_that_underflows_to_0_names_the_frequency(self):
+        # 1e-170**2 is 0.0: f_a0 = 0 would pass as abnormal, f_a0 >= omega_a^2.
+        with pytest.raises(ValueError) as exc:
+            alt_coupling_renorm(make(omega_a=1e-170), AltCouplingParams(0.0, 0.0))
+        assert str(exc.value) == "omega_a**2 is not a positive finite float, got omega_a = 1e-170"
+
+    # ROADMAP item 5's range for every magnitude: the result is all finite,
+    # or the run is a usage error with one line. --phi-points 2, since the
+    # variance does not depend on phi.
+    @given(
+        command=st.sampled_from([
+            "squeeze --theta 0 --phi-points 2 --omega",
+            "squeeze --theta 0.5 --phi-points 2 --omega",
+            "condensates --omega",
+            "altcoupling --f-a0",
+        ]),
+        magnitudes=st.lists(
+            st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=7, max_size=7
+        ),
+        exponents=st.lists(
+            st.one_of(st.sampled_from([-0.9, 0.0, 0.5, 2.0]), st.floats(-0.99, 2.0)),
+            min_size=2, max_size=2,
+        ),
+    )
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_every_result_is_finite_or_a_usage_error(self, command, magnitudes, exponents):
+        wa, wb, g, ga, gb, x, f_b0 = map(repr, magnitudes)
+        # --s-a=VALUE: argparse reads a bare -1e-05 as an option.
+        argv = [
+            *command.split(), x, "--omega-a", wa, "--omega-b", wb, "--g", g,
+            "--gamma-a", ga, "--gamma-b", gb, f"--s-a={exponents[0]!r}",
+            f"--s-b={exponents[1]!r}",
+        ]
+        if command.startswith("altcoupling"):
+            argv += ["--f-b0", f_b0]
+        else:
+            argv += ["--format", "json"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.json"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(argv + ["-o", str(out)])
+            if rc == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert not out.exists()
+            else:
+                assert rc == 0, err.getvalue()
+                numbers = []
+                json.loads(out.read_text(), parse_float=numbers.append, parse_constant=numbers.append)
+                assert all(map(math.isfinite, map(float, numbers))), " ".join(argv)
 
 
 @pytest.mark.parametrize("sweep", [
