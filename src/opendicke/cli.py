@@ -19,8 +19,8 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -115,15 +115,14 @@ def _workers(args: argparse.Namespace) -> int:
 
 def _atomic_write(path: str, chunks) -> None:
     """Write each text chunk to a temp file beside path, then rename it to
-    path, with the mode open() gives a new file (mkstemp's is 0600)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opendicke-", suffix=".tmp")
+    path. The temp file takes a random name, created with O_EXCL and mode
+    0666, which the kernel masks with the umask, so path gets the mode
+    open() gives a new file."""
+    tmp = os.path.join(os.path.dirname(path), f".opendicke-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
-        umask = os.umask(0)  # the umask is read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -370,9 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts like a negative number after a long
+    flag attached as --flag=VALUE: argparse (as of Python 3.10 and 3.11)
+    reads only -N and -N.N as numbers, and would take -1e-05 for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", arg):
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.output is None and getattr(args, "format", None):
             if args.stem is None:

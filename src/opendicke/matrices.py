@@ -215,19 +215,21 @@ def _port_zeta(a02, photon: tuple, matter: tuple):
 def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature = INPUT):
     """zeta(omega) = det(A - i Gamma(omega)/2 - omega I).
 
-    Scalar in, scalar out; ndarray in, elementwise ndarray out (the grid
-    engines evaluate whole probe rows in one call). At omega = 0 exactly the
-    damping drops out of the determinant for every admissible exponent
-    (omega gamma(omega) -> 0), so the scalar call evaluates that limit
-    directly; this keeps the constant term meaningful for subohmic baths
-    whose gamma diverges at the origin.
+    Scalar in, scalar out; ndarray in, elementwise ndarray out. At omega = 0
+    exactly the damping drops out of the determinant for every admissible
+    exponent (omega gamma(omega) -> 0), so the scalar call evaluates that
+    limit directly; this keeps the constant term meaningful for subohmic
+    baths whose gamma diverges at the origin.
 
     An ndarray composes gamma_of, _matter_minors, _photon_half and
     _port_zeta. A scalar, the Newton solver's hot call, runs the same
     operations in one straight line of Python arithmetic: the port rates of
     gamma_of's scalar path (port a first), then the expansion, operation for
     operation and in order, so every value is bit-identical to the
-    composition (tests/test_matrices.py pins it in float.hex).
+    composition (tests/test_matrices.py pins it in float.hex). Only where
+    the product gamma0 |omega|**s overflows but its power does not, so that
+    gamma_of raises, does it return a value that is not finite instead, and
+    _newton ends the solve with ConvergenceError("residual is not finite").
     """
     if isinstance(omega, np.ndarray):
         ga = signature.sign_a * gamma_of(system.bath_a, omega)
@@ -292,23 +294,23 @@ def zeta_from_system(system: BogoliubovSystem, omega, signature: ZetaSignature =
 @np.errstate(all="ignore")  # an overflow raises the ValueError of _s11_tile instead
 def s11_rows(systems, omega):
     """S11 = zeta(omega; FLIP_A) / zeta(omega; INPUT) of each system of a
-    block, in order, bit-identical to the ratio of the two zeta_from_system
-    calls of that system alone at any nonzero omega (S11 probes are
-    positive): one complex array of shape (len(systems), *omega.shape), or
-    for a scalar omega a list of complex.
+    block, in order, bit-identical to the ratio of the two array
+    zeta_from_system calls of that system alone at any nonzero omega (S11
+    probes are positive): one complex array of shape
+    (len(systems), *omega.shape) for any array-like omega, so
+    (len(systems),) for a scalar.
 
     The systems of a block must share A[0, 0] = omega_a and the photon bath,
     as the rows of every spectrum sweep do; otherwise ValueError is raised at
-    once. An array omega is evaluated in tiles of S11_TILE points, which
-    bound every temporary. Per tile the photon rate and the photon
-    quantities at -gamma_a and +gamma_a are evaluated once for the block;
-    each row then costs the matter rate, matter minors and the expansion.
-    A row that is not finite raises ValueError naming the probe and rates."""
+    once. omega is evaluated in tiles of S11_TILE points, which bound every
+    temporary. Per tile the photon rate and the photon quantities at
+    -gamma_a and +gamma_a are evaluated once for the block; each row then
+    costs the matter rate, matter minors and the expansion. A row that is
+    not finite raises ValueError naming the probe and rates."""
     a00, bath_a = systems[0].a_entries[0], systems[0].bath_a
     if any(s.a_entries[0] != a00 or s.bath_a != bath_a for s in systems):
         raise ValueError("the systems of an S11 block must share omega_a and the photon bath")
-    if not isinstance(omega, np.ndarray):
-        return list(_s11_tile(systems, omega))
+    omega = np.asarray(omega)
     out = np.empty((len(systems), omega.size), dtype=complex)
     probe = omega.reshape(-1)
     for i in range(0, probe.size, S11_TILE):
@@ -333,15 +335,13 @@ def _s11_tile(systems, omega):
         # there the numerator shares the vanishing factor, so the ratio is
         # recovered from an ulp-scale probe offset, for this row alone.
         if np.any(den == 0):
-            shifted = omega * (1.0 + 1e-9)
-            if isinstance(den, np.ndarray):
-                shifted = np.where(den == 0, shifted, omega)
+            shifted = np.where(den == 0, omega * (1.0 + 1e-9), omega)
             num = zeta_from_system(system, shifted, FLIP_A)
             den = zeta_from_system(system, shifted, INPUT)
         row = num / den
         if not np.isfinite(row).all():
-            at, cells = np.argmin(np.isfinite(row)), np.broadcast_arrays(omega, gamma_a, gamma_b)
-            w, ga, gb = (float(np.ravel(x)[at]) for x in cells)
+            at = np.argmin(np.isfinite(row))
+            w, ga, gb = (float(x[at]) for x in (omega, gamma_a, gamma_b))
             raise ValueError(
                 f"S11 is not finite at probe frequency {w}, where the port rates are"
                 f" gamma_a = {ga} and gamma_b = {gb}"

@@ -8,6 +8,7 @@ bath density sigma/N ever appear; N itself is never a parameter.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -107,12 +108,16 @@ def gamma_of(bath: BathSpec, omega):
     try:
         if isinstance(omega, complex) and omega.imag != 0.0:
             if omega.real == 0.0:
-                return g0 * abs(omega.imag) ** s * math.cos(0.5 * math.pi * s)
-            return g0 * (omega * omega) ** (0.5 * s)
-        return g0 * abs(omega) ** s
-    except OverflowError:
-        # Python's ** raises where the array path's numpy power gives inf.
-        raise ValueError(f"gamma(omega) overflows at omega = {omega} for exponent s = {s}") from None
+                rate = g0 * abs(omega.imag) ** s * math.cos(0.5 * math.pi * s)
+            else:
+                rate = g0 * (omega * omega) ** (0.5 * s)
+        else:
+            rate = g0 * abs(omega) ** s
+    except OverflowError:  # Python's ** raises where numpy's power gives inf
+        rate = math.inf
+    if cmath.isinf(rate):  # the power, or only its product with g0
+        raise ValueError(f"gamma(omega) overflows at omega = {omega} for exponent s = {s}")
+    return rate
 
 
 def real_grid(values, name: str) -> np.ndarray:

@@ -42,16 +42,17 @@ __all__ = [
 def s11(params: ModelParams, omega):
     """Reflection coefficient at port a for real probe frequencies.
 
-    Accepts a scalar or an array of frequencies (> 0). Total for omega > 0:
-    the denominator zeros all sit strictly below the real axis except for
-    the zero-frequency root at the exact critical point, which the omega > 0
-    domain never touches. A list or tuple is read as a float array.
+    Accepts any array-like of frequencies (> 0) and returns an array of its
+    shape; a scalar is a one-element probe, returned as its complex value.
+    Total for omega > 0: the denominator zeros sit below the real axis,
+    except the zero-frequency root at the exact critical point, which the
+    omega > 0 domain never touches, and the real zero of an undamped,
+    decoupled mode, where s11_rows shifts the probe by 1e-9 of itself.
     """
     check_frequency(omega, "probe frequencies")
-    if isinstance(omega, (list, tuple)):
-        omega = np.asarray(omega, dtype=float)
     pd = derive_phase(params)
-    return s11_rows([build_system(pd, params)], omega)[0]
+    row = s11_rows([build_system(pd, params)], omega)[0]
+    return complex(row) if row.ndim == 0 else row
 
 
 def s_matrix(params: ModelParams, omega: float) -> np.ndarray:

@@ -216,6 +216,17 @@ class TestFailureModes:
             os.umask(previous)
         assert oct(out.stat().st_mode & 0o777) == oct(plain.stat().st_mode & 0o777)
 
+    def test_a_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # Setting the umask to read it would strip it from a file another
+        # thread creates meanwhile.
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called during a write")
+
+        out = tmp_path / "c.csv"
+        monkeypatch.setattr(os, "umask", umask)
+        assert run(["critical", "-o", str(out)]) == 0
+        assert out.read_text() == "# columns: g_star\n5.00000000000e-01\n"
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["critical", "--bogus", "1"])
@@ -345,6 +356,22 @@ class TestFailureModes:
         assert run(["critical", "--omega-a", "-1"]) == 2
         assert run(["eigen", "--gamma-a", "-0.1", "--sweep", "g:0:0.5:5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--sweep", "g:0:0.3:3"],
+        ["spectrum", "--sweep", "g:0.1:0.7:3", "--probe", "0.5:1.5:4"],
+        ["condensates", "--g", "0.7", "--omega", "0.5"],
+        ["critical"],
+        ["squeeze", "--omega", "1", "--phi-points", "4"],
+        ["altcoupling", "--f-a0", "0.19"],
+    ], ids=lambda argv: argv[0])
+    def test_a_negative_value_in_exponent_form_parses_on_every_command(self, argv, tmp_path):
+        # argparse's own pattern reads only -N and -N.N as negative numbers.
+        outs = [tmp_path / "spaced.out", tmp_path / "joined.out"]
+        flags = (["--s-a", "-1e-05", "--s-b", "-2E-1"], ["--s-a=-1e-05", "--s-b=-2E-1"])
+        for out, values in zip(outs, flags):
+            assert run(argv + values + ["-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_non_integer_parallel_env_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.PARALLEL_ENV, "abc")
         assert run(["eigen", "--sweep", "g:0:0.5:5"]) == 2
@@ -447,9 +474,10 @@ class TestFailureModes:
             "the scattering matrix requires both port couplings positive at probe frequency"
             " 1.0, got gamma_a = 0.1 and gamma_b = 0.0",
         ),
+        (["squeeze", "--g", "-1e-3", "--omega", "1"], "coupling g must be nonnegative, got -0.001"),
     ], ids=[
         "condensates-omega", "squeeze-omega", "sweep-fields", "probe-fields", "altcoupling-f-a0",
-        "two-port-squeeze-gamma-b",
+        "two-port-squeeze-gamma-b", "squeeze-g-exponent-form",
     ])
     def test_command_value_checks_are_usage_errors(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.out"

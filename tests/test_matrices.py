@@ -1,3 +1,4 @@
+import cmath
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from opendicke.model import BathSpec, ModelParams, Phase, PhaseData, derive_phase, resolve_point
 from opendicke.model import _superradiant_fields, gamma_of
 from opendicke.scattering import s11, sweep_spectrum
+from opendicke.eigen import ConvergenceError, _newton
 from opendicke.matrices import (
     FLIP_A,
     INPUT,
@@ -434,6 +436,19 @@ class TestScalarZetaBits:
         assert _outcome(zeta_from_system, system, w, INPUT) == (ValueError, text)
         assert _outcome(_composed_zeta, system, w, INPUT) == (ValueError, text)
 
+    def test_an_overflowing_rate_product_ends_the_newton_solve(self):
+        # |omega|**2 = 1e220 is a float and only gamma0 times it overflows:
+        # gamma_of raises, the inlined scalar zeta returns a value that is
+        # not finite, and _newton stops at its first residual.
+        p = make(g=0.3, ga=1e132, gb=0.2, sa=2.0)
+        system = build_system(derive_phase(p), p)
+        assert not cmath.isfinite(zeta_from_system(system, 1e110, INPUT))
+        text = "gamma(omega) overflows at omega = 1e+110 for exponent s = 2.0"
+        assert _outcome(_composed_zeta, system, 1e110, INPUT) == (ValueError, text)
+        with pytest.raises(ConvergenceError) as exc:
+            _newton(lambda w: zeta_from_system(system, w, INPUT), 1e110, 1.0, False, False)
+        assert exc.value.message == "residual is not finite"
+
 
 def _same_bits(x, y) -> bool:
     if isinstance(x, np.ndarray):
@@ -445,7 +460,8 @@ class TestS11Terms:
     """s11_rows divides S11's two zeta terms. It shares the photon half of a
     block of systems, and the rate rows and matter minors of each row's
     numerator and denominator. Every row must carry the bits of the ratio of
-    the two separate zeta calls of its system alone."""
+    the two separate array zeta calls of its system alone; a scalar probe is
+    a one-element probe."""
 
     @staticmethod
     def ratio(system, omega):
@@ -453,9 +469,10 @@ class TestS11Terms:
 
     def assert_ratios(self, systems, omega):
         rows = s11_rows(systems, omega)
-        assert len(rows) == len(systems)
-        for system, row in zip(systems, rows):
-            assert _same_bits(row, self.ratio(system, omega))
+        assert rows.shape == (len(systems), *np.shape(omega)) and rows.dtype == complex
+        probe = np.reshape(omega, -1)
+        for system, row in zip(systems, rows.reshape(len(systems), -1)):
+            assert _same_bits(row, self.ratio(system, probe))
 
     @staticmethod
     def block(points):
@@ -500,10 +517,10 @@ class TestS11Terms:
         probe = np.array([0.5, 1.0, 1.5])
         assert zeta_from_system(system, probe, INPUT)[1] == 0
         shifted = np.where(probe == 1.0, probe * (1.0 + 1e-9), probe)
-        for omega, at in ((1.0, 1.0 * (1.0 + 1e-9)), (probe, shifted)):
+        for omega, at in ((1.0, np.array([1.0 * (1.0 + 1e-9)])), (probe, shifted)):
             (row,) = s11_rows(systems, omega)
-            assert _same_bits(row, self.ratio(system, at))
-            assert _same_bits(s11(p, omega), row)
+            assert _same_bits(np.reshape(row, -1), self.ratio(system, at))
+            assert _same_bits(np.asarray(s11(p, omega)), np.asarray(row))
             self.assert_ratios(systems, at)
 
     def test_ulp_shift_inside_a_block_leaves_its_neighbours(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opendicke.model import BathSpec, ModelParams, derive_phase
+from opendicke.model import BathSpec, ModelParams, Phase, derive_phase
 from opendicke.matrices import INPUT, S11_TILE, build_system, zeta_from_system
 from opendicke.eigen import closed_eigenfrequencies, open_eigenfrequencies
 from opendicke.scattering import (
@@ -74,6 +74,33 @@ class TestS11:
         assert np.array_equal(s11(p, probe), want)
         assert np.array_equal(s11(p, tuple(probe)), want)
 
+    def test_a_scalar_probe_is_a_one_element_probe(self):
+        # One kernel for every probe: a scalar's S11 is a complex holding the
+        # bits of its value in a 1-element array, a list, a 0-d array and a
+        # 2-D probe, in both phases, at every exponent pair, and on the
+        # undamped decoupled resonance that takes the ulp shift.
+        def bits(z):
+            return complex(z).real.hex(), complex(z).imag.hex()
+
+        rng = np.random.default_rng(37)
+        exponents = (0.0, -0.9, -0.5, 0.5, 1.3, 2.0)
+        cases = [(make(g=0.0, ga=0.3, gb=0.0), [1.0])]
+        for g in (0.3, 0.8):
+            for sa in exponents:
+                for sb in exponents:
+                    p = make(omega_a=1.1, omega_b=0.9, g=g, ga=0.3, gb=0.2, sa=sa, sb=sb)
+                    probes = [*rng.uniform(0.01, 4.0, 3), *10.0 ** rng.uniform(-3.0, 3.0, 2)]
+                    cases.append((p, [float(w) for w in probes]))
+        assert {derive_phase(p).phase for p, _ in cases[1:]} == {Phase.NORMAL, Phase.SUPERRADIANT}
+        for p, probes in cases:
+            for w in probes:
+                got = s11(p, w)
+                assert type(got) is complex
+                grid = np.array([[0.5, 1.5, 2.5], [3.5, w, 0.25]])
+                same = (s11(p, np.array([w]))[0], s11(p, [w])[0], s11(p, np.array(w)))
+                for z in (*same, s11(p, grid)[1, 1]):
+                    assert bits(z) == bits(got), (p, w)
+
     def test_rejects_nonpositive_probe(self):
         with pytest.raises(ValueError):
             s11(make(ga=0.1), 0.0)
@@ -91,7 +118,8 @@ class TestS11:
         (0.0, 0.75, 0.75, 1e300),
         (0.0, np.linspace(0.5, 1.0, 5), 0.5, 1e300),
         (2.0, np.array([0.5, 1e50, 1e200]), 1e200, math.inf),
-    ], ids=["scalar", "row", "rate-overflow"])
+        (2.0, 1e200, 1e200, math.inf),
+    ], ids=["scalar", "row", "rate-overflow", "scalar-rate-overflow"])
     def test_overflowing_row_names_the_probe_and_rates(self, sa, probe, w, rate_a):
         # The numerator and denominator overflow, and in the last case the
         # photon rate too; no RuntimeWarning escapes (the test configuration
